@@ -10,8 +10,9 @@
 //! committed grids); a `scenarios` entry may be a bundled scenario name,
 //! a `.scn` spec file, or a trace/corpus file in any format the frontend
 //! registry sniffs (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) — trace
-//! entries stream the file per cell instead of regenerating a synthetic
-//! workload. The store (default `sweep-store.jsonl`) accumulates
+//! entries stream the file instead of regenerating a synthetic workload.
+//! Cells that differ only in their scheme run as one single-pass bank
+//! over one generated or streamed input. The store (default `sweep-store.jsonl`) accumulates
 //! one JSON line per completed cell, keyed by configuration hash. Cells
 //! already in the store are skipped, so re-running after a crash — or
 //! after extending the spec — computes only what is missing. A torn final

@@ -20,6 +20,8 @@
 //! identical cell always serialises to identical bytes — that is what
 //! makes "resumed store equals from-scratch store" testable.
 
+use dirsim::SimResult;
+use dirsim_cost::CostModel;
 use dirsim_mem::CacheGeometry;
 use dirsim_obs::{json::float, Json};
 use dirsim_protocol::Scheme;
@@ -195,6 +197,25 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
+    /// The record `cell` stores for its simulated `result`, run with
+    /// `cpus` caches.
+    pub fn new(cell: &Cell, result: &SimResult, cpus: u32) -> CellRecord {
+        CellRecord {
+            hash: cell.hash.clone(),
+            scheme: result.scheme.clone(),
+            scenario: cell.scenario.clone(),
+            geometry: cell.geometry_label(),
+            cpus,
+            refs: result.refs,
+            transactions: result.transactions,
+            distinct_blocks: result.distinct_blocks,
+            evictions: result.capacity_evictions,
+            miss_rate: result.events.data_miss_rate(),
+            pipelined_cpr: result.cycles_per_ref(CostModel::pipelined()),
+            non_pipelined_cpr: result.cycles_per_ref(CostModel::non_pipelined()),
+        }
+    }
+
     /// Cycles per reference under the given pricing.
     pub fn cycles_per_ref(&self, model: crate::spec::CostModelKind) -> f64 {
         match model {

@@ -18,9 +18,11 @@
 //! * [`store`] — an append-only JSON-lines store, flushed per record and
 //!   repaired on open (a killed writer's torn final line is truncated away).
 //!   Re-running a spec skips every cell whose hash is already stored.
-//! * [`run`] — a worker pool of pipelined engines drains the pending cells
-//!   and streams each result to the store as it completes, with live
-//!   progress (cells done/total, aggregate refs/sec, ETA).
+//! * [`run`] — groups the pending cells into single-pass banks (one
+//!   reference stream, every scheme that shares it), drains the banks
+//!   over a worker pool, and streams each cell's result to the store as
+//!   its bank completes, with live progress (cells done/total, aggregate
+//!   refs/sec, ETA).
 //! * [`report`] — regenerates the paper tables (bus cycles per reference,
 //!   scheme × workload) from the store alone; the store is the source of
 //!   truth for EXPERIMENTS.md.

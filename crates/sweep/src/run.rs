@@ -1,29 +1,40 @@
-//! The sweep executor: a worker pool of pipelined engines over the
+//! The sweep executor: a worker pool of single-pass banks over the
 //! pending cells.
 //!
-//! Scheduling is deliberately simple. Cells are independent (the grid is
-//! a cross product, and every cell regenerates its workload from the
-//! scenario seed or re-streams its trace file), so a shared work queue
-//! plus a result channel is all the coordination needed. Each worker runs its cell through the normal
-//! [`Experiment`] front door in `Pipelined { workers: 1 }` mode — trace
-//! decode overlapped with simulation inside the cell, cell-level
-//! parallelism across the pool — which keeps every result bit-identical
-//! to a serial `simulate` run of the same configuration (the equivalence
-//! the engine's tier-1 tests pin).
+//! The paper runs every scheme over the same interleaved reference
+//! stream, and so does the engine: one decoded chunk steps every scheme's
+//! lane. The executor therefore schedules **banks**, not cells. After the
+//! skip-if-stored filter, pending cells are grouped by everything in
+//! their identity except the scheme — input, geometry, CPU override and
+//! reference budget — and each bank runs once, inline on its worker, in
+//! [`ExecutionMode::SinglePass`]: one trace generation (or one file
+//! stream) feeds all of the bank's schemes. Every number stays
+//! bit-identical to a one-scheme run of the same cell (the equivalence
+//! the engine's tier-1 tests pin), so each cell still gets its own
+//! [`CellRecord`], built exactly as a one-scheme run would build it.
 //!
-//! The main thread owns the store: workers never touch the file, results
-//! are appended (and flushed) in completion order, and a crash between
-//! appends loses only cells that had not finished. Progress goes through
-//! [`dirsim_obs::ProgressMeter`] — cells done/total, aggregate refs/sec,
-//! and an ETA from the mean cell time so far.
+//! Banks are independent, so a shared work queue plus a result channel is
+//! all the coordination needed. The largest bank's scheme list is split
+//! in halves until every worker has a bank and the bank count is a
+//! multiple of the worker count, and the queue runs largest first; a bank
+//! of one scheme is just a cell. The `sweep_banks`
+//! counter and the `sweep_bank_schemes` histogram record the grouping.
+//!
+//! The main thread owns the store: workers never touch the file, and a
+//! finished bank's records are appended (each flushed) in cell order. A
+//! crash loses at most the banks still in flight — one per worker — and
+//! a re-run resumes only those banks' missing schemes. Progress goes
+//! through [`dirsim_obs::ProgressMeter`] — cells done/total, aggregate
+//! refs/sec, and a reference-weighted ETA.
 
+use std::cmp::Reverse;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, NamedWorkload, SimConfig, SimResult};
-use dirsim_cost::CostModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
+use dirsim_protocol::Scheme;
 use dirsim_trace::{open_trace, TakeSource, TraceSource, TraceStats};
 
 use crate::cell::{Cell, CellInput, CellRecord};
@@ -37,7 +48,8 @@ pub struct SweepOptions {
     pub workers: usize,
     /// Emit live progress to stderr.
     pub progress: bool,
-    /// Metrics sink for sweep-level counters (cells run/skipped, refs).
+    /// Metrics sink for sweep-level counters (cells run/skipped, refs,
+    /// banks) and the `sweep_bank_schemes` histogram.
     pub recorder: Arc<dyn Recorder>,
 }
 
@@ -66,14 +78,15 @@ pub struct SweepSummary {
     pub wall_secs: f64,
 }
 
-/// Expands `spec`, skips every cell already in `store`, runs the rest
-/// over a worker pool, and streams each completed cell to the store.
+/// Expands `spec`, skips every cell already in `store`, groups the rest
+/// into single-pass banks, runs the banks over a worker pool, and streams
+/// each completed bank's cells to the store.
 ///
 /// # Errors
 ///
-/// Returns the first [`SweepError`] hit: spec expansion, a cell's
-/// simulation, or a store append. Cells completed before the failure are
-/// already durable in the store, so a re-run resumes past them.
+/// Returns the first [`SweepError`] hit: spec expansion, a bank's
+/// simulation, or a store append. Cells stored before the failure are
+/// already durable, so a re-run resumes past them.
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &mut Store,
@@ -93,6 +106,13 @@ pub fn run_sweep(
         .counter("sweep_cells_skipped", &[], skipped as u64);
 
     let workers = effective_workers(opts.workers, pending.len());
+    let banks = plan_banks(pending, workers);
+    opts.recorder
+        .counter("sweep_banks", &[], banks.len() as u64);
+    for bank in &banks {
+        opts.recorder
+            .observe("sweep_bank_schemes", &[], bank.len() as f64);
+    }
     let mut meter = progress_meter(opts.progress, total, skipped);
     let start = Instant::now();
 
@@ -100,45 +120,47 @@ pub fn run_sweep(
     let mut refs_simulated = 0u64;
     let mut first_err: Option<SweepError> = None;
 
-    if !pending.is_empty() {
-        let queue = Mutex::new(pending.into_iter());
+    if !banks.is_empty() {
+        let queue = Mutex::new(banks.into_iter());
         let queue = &queue;
-        let (tx, rx) = mpsc::channel::<(Cell, Result<CellRecord, SweepError>)>();
+        let (tx, rx) = mpsc::channel::<(Vec<Cell>, Result<Vec<CellRecord>, SweepError>)>();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
-                    let cell = queue.lock().expect("queue poisoned").next();
-                    let Some(cell) = cell else { break };
-                    let result = run_cell(&cell);
-                    if tx.send((cell, result)).is_err() {
+                    let bank = queue.lock().expect("queue poisoned").next();
+                    let Some(bank) = bank else { break };
+                    let result = run_bank(&bank);
+                    if tx.send((bank, result)).is_err() {
                         break; // main thread stopped listening
                     }
                 });
             }
             drop(tx);
-            for (cell, result) in rx {
-                let record = match result {
-                    Ok(record) => record,
+            // Returning drops the receiver, which makes every worker's
+            // next send fail and drains the pool.
+            for (bank, result) in rx {
+                let records = match result {
+                    Ok(records) => records,
                     Err(e) => {
                         first_err = Some(e);
-                        // Dropping the receiver makes every worker's next
-                        // send fail, draining the pool.
-                        break;
+                        return;
                     }
                 };
-                if let Err(e) = store.append(&record) {
-                    first_err = Some(e.into());
-                    break;
+                for (cell, record) in bank.iter().zip(&records) {
+                    if let Err(e) = store.append(record) {
+                        first_err = Some(e.into());
+                        return;
+                    }
+                    ran += 1;
+                    refs_simulated += record.refs;
+                    let scheme = cell.scheme.name();
+                    opts.recorder
+                        .counter("sweep_cells_run", &[("scheme", scheme.as_str())], 1);
+                    opts.recorder.counter("sweep_refs", &[], record.refs);
+                    let eta = eta_secs(start.elapsed(), refs_simulated, refs_pending);
+                    meter.tick_now(ran as u64, eta);
                 }
-                ran += 1;
-                refs_simulated += record.refs;
-                let scheme = cell.scheme.name();
-                opts.recorder
-                    .counter("sweep_cells_run", &[("scheme", scheme.as_str())], 1);
-                opts.recorder.counter("sweep_refs", &[], record.refs);
-                let eta = eta_secs(start.elapsed(), refs_simulated, refs_pending);
-                meter.tick_now(ran as u64, eta);
             }
         });
     }
@@ -157,67 +179,95 @@ pub fn run_sweep(
     })
 }
 
-/// Runs one cell and condenses the result into its store record.
+/// Groups pending cells into banks — cells equal in every identity axis
+/// but the scheme, kept in expansion order — then splits the largest
+/// bank's scheme list in halves until every worker has a bank and the
+/// bank count is a multiple of the worker count, or every bank is a
+/// single cell. Banks are queued largest first.
 ///
-/// Synthetic cells go through the normal [`Experiment`] front door;
-/// trace cells stream their file through the frontend registry into a
-/// [`BroadcastSimulator`] with the same `Pipelined { workers: 1 }`
-/// placement, so both kinds stay bit-identical to a `simulate` run of
-/// the same configuration.
-fn run_cell(cell: &Cell) -> Result<CellRecord, SweepError> {
-    let sim = SimConfig {
-        geometry: cell.geometry,
-        ..SimConfig::default()
-    };
-    let (result, cpus): (SimResult, u32) = match &cell.input {
-        CellInput::Synthetic(config) => {
-            let results = Experiment::new()
-                .workload(NamedWorkload::new(cell.scenario.clone(), config.clone()))
-                .scheme(cell.scheme)
-                .refs_per_trace(cell.refs)
-                .sim_config(sim)
-                .execution(ExecutionMode::Pipelined { workers: 1 })
-                .run()?;
-            (
-                results.per_scheme[0].combined.clone(),
-                u32::from(config.cpus),
-            )
+/// The multiple matters: three equal banks on two workers leave one
+/// worker idle for the last third of the run, while four (two halves)
+/// keep both busy to the end for one extra stream generation.
+fn plan_banks(pending: Vec<Cell>, workers: usize) -> Vec<Vec<Cell>> {
+    let mut banks: Vec<Vec<Cell>> = Vec::new();
+    for cell in pending {
+        match banks.iter_mut().find(|bank| same_bank(&bank[0], &cell)) {
+            Some(bank) => bank.push(cell),
+            None => banks.push(vec![cell]),
         }
-        CellInput::Trace { path, .. } => {
-            let caches = trace_caches(cell, path)?;
-            let source = TakeSource::new(
-                open_trace(path).map_err(dirsim::Error::from)?,
-                cell.refs as u64,
-            );
-            let results = BroadcastSimulator::new(sim).workers(1).run_pipelined(
-                &[cell.scheme],
-                caches,
-                source,
-            )?;
-            let result = results
-                .into_iter()
-                .next()
-                .expect("one scheme in, one result out");
-            (result, caches)
+    }
+    while banks.len() < workers || banks.len() % workers != 0 {
+        let Some(largest) = banks.iter_mut().max_by_key(|bank| bank.len()) else {
+            break;
+        };
+        if largest.len() < 2 {
+            break;
         }
-    };
-    Ok(CellRecord {
-        hash: cell.hash.clone(),
-        scheme: result.scheme.clone(),
-        scenario: cell.scenario.clone(),
-        geometry: cell.geometry_label(),
-        cpus,
-        refs: result.refs,
-        transactions: result.transactions,
-        distinct_blocks: result.distinct_blocks,
-        evictions: result.capacity_evictions,
-        miss_rate: result.events.data_miss_rate(),
-        pipelined_cpr: result.cycles_per_ref(CostModel::pipelined()),
-        non_pipelined_cpr: result.cycles_per_ref(CostModel::non_pipelined()),
-    })
+        let tail = largest.split_off(largest.len() / 2);
+        banks.push(tail);
+    }
+    banks.sort_by_key(|bank| Reverse(bank.len()));
+    banks
 }
 
-/// Cache count for a trace cell: the spec's `cpus` override taken as an
+/// Whether two cells simulate the same reference stream on the same
+/// machine: equal input, geometry, CPU override and reference budget.
+fn same_bank(a: &Cell, b: &Cell) -> bool {
+    let same_input = match (&a.input, &b.input) {
+        (CellInput::Synthetic(x), CellInput::Synthetic(y)) => a.scenario == b.scenario && x == y,
+        (CellInput::Trace { path: p, len: m }, CellInput::Trace { path: q, len: n }) => {
+            p == q && m == n
+        }
+        _ => false,
+    };
+    same_input && a.geometry == b.geometry && a.cpus == b.cpus && a.refs == b.refs
+}
+
+/// Runs one bank in a single pass and returns each cell's store record,
+/// in bank order.
+///
+/// Synthetic banks go through the normal [`Experiment`] front door;
+/// trace banks stream their file through the frontend registry into a
+/// [`BroadcastSimulator`]. Both run inline on the calling worker, so the
+/// bank's stream is generated or decoded once for all its schemes, and
+/// every result is bit-identical to a one-scheme run of its cell.
+fn run_bank(bank: &[Cell]) -> Result<Vec<CellRecord>, SweepError> {
+    let head = &bank[0];
+    let schemes: Vec<Scheme> = bank.iter().map(|c| c.scheme).collect();
+    let sim = SimConfig {
+        geometry: head.geometry,
+        ..SimConfig::default()
+    };
+    let (results, cpus): (Vec<SimResult>, u32) = match &head.input {
+        CellInput::Synthetic(config) => {
+            let results = Experiment::new()
+                .workload(NamedWorkload::new(head.scenario.clone(), config.clone()))
+                .schemes(schemes)
+                .refs_per_trace(head.refs)
+                .sim_config(sim)
+                .execution(ExecutionMode::SinglePass)
+                .run()?;
+            let results = results.per_scheme.into_iter().map(|s| s.combined).collect();
+            (results, u32::from(config.cpus))
+        }
+        CellInput::Trace { path, .. } => {
+            let caches = trace_caches(head, path)?;
+            let source = TakeSource::new(
+                open_trace(path).map_err(dirsim::Error::from)?,
+                head.refs as u64,
+            );
+            let results = BroadcastSimulator::new(sim).run(&schemes, caches, source)?;
+            (results, caches)
+        }
+    };
+    Ok(bank
+        .iter()
+        .zip(&results)
+        .map(|(cell, result)| CellRecord::new(cell, result, cpus))
+        .collect())
+}
+
+/// Cache count for a trace bank: the spec's `cpus` override taken as an
 /// explicit cache count, or one cache per process id observed in the
 /// simulated prefix — the same default `simulate` applies to trace
 /// files (ids, not distinct processes: an open-system trace can retire
@@ -306,6 +356,28 @@ mod tests {
         SweepSpec::parse("schemes = Dir1NB, WTI\nscenarios = pops\nrefs = 2_000\n").unwrap()
     }
 
+    /// The record a one-scheme `Experiment` run of `cell` produces.
+    fn one_scheme_record(cell: &Cell) -> CellRecord {
+        let CellInput::Synthetic(config) = &cell.input else {
+            panic!("synthetic cells only");
+        };
+        let results = Experiment::new()
+            .workload(NamedWorkload::new(cell.scenario.clone(), config.clone()))
+            .scheme(cell.scheme)
+            .refs_per_trace(cell.refs)
+            .sim_config(SimConfig {
+                geometry: cell.geometry,
+                ..SimConfig::default()
+            })
+            .run()
+            .unwrap();
+        CellRecord::new(
+            cell,
+            &results.per_scheme[0].combined,
+            u32::from(config.cpus),
+        )
+    }
+
     #[test]
     fn runs_then_skips_and_matches_single_cell_results() {
         let path = temp_store("skip");
@@ -324,10 +396,130 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), bytes, "skip must not rewrite");
 
         // The stored numbers are the engine's own, not a re-derivation.
-        let cell = &spec.expand().unwrap()[0];
-        let direct = run_cell(cell).unwrap();
-        assert_eq!(store.records()[0], direct);
+        // The pool appends in completion order, so look each cell up by
+        // its hash.
+        for cell in spec.expand().unwrap() {
+            let stored = store
+                .records()
+                .iter()
+                .find(|r| r.hash == cell.hash)
+                .expect("every cell stored");
+            assert_eq!(*stored, one_scheme_record(&cell), "{}", cell.scheme.name());
+        }
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn banks_group_cells_by_everything_but_the_scheme() {
+        let spec = SweepSpec::parse(
+            "schemes = Dir1NB, WTI, Dragon\nscenarios = pops, thor\n\
+             geometries = infinite, 16x4\nrefs = 1_000\n",
+        )
+        .unwrap();
+        let cells = spec.expand().unwrap();
+        let banks = plan_banks(cells.clone(), 1);
+        assert_eq!(banks.len(), 4);
+        for bank in &banks {
+            let schemes: Vec<String> = bank.iter().map(|c| c.scheme.name()).collect();
+            assert_eq!(schemes, ["Dir1NB", "WTI", "Dragon"]);
+            assert!(bank.iter().all(|c| same_bank(&bank[0], c)));
+        }
+        assert!(!same_bank(&banks[0][0], &banks[1][0]));
+        // Grouping keeps expansion order: the banks concatenate back to it.
+        let order: Vec<&str> = banks.iter().flatten().map(|c| c.hash.as_str()).collect();
+        let expanded: Vec<&str> = cells.iter().map(|c| c.hash.as_str()).collect();
+        assert_eq!(order, expanded);
+    }
+
+    #[test]
+    fn largest_banks_split_in_halves_until_the_workers_share_them_evenly() {
+        let lineup = "Dir0B, Dir1B, Dir2B, Dir4B, Dir1NB, Dir2NB, Dir4NB, DirnNB, \
+                      CoarseVector, Tang, YenFu, DirUpd, WTI, Illinois, Dragon, Berkeley";
+        let sizes = |scenarios: &str, workers: usize| -> Vec<usize> {
+            let text = format!("schemes = {lineup}\nscenarios = {scenarios}\n");
+            let cells = SweepSpec::parse(&text).unwrap().expand().unwrap();
+            let banks = plan_banks(cells.clone(), workers);
+            // Every cell lands in exactly one bank, and each bank is a run
+            // of consecutive cells in expansion order.
+            assert_eq!(banks.iter().map(Vec::len).sum::<usize>(), cells.len());
+            for bank in &banks {
+                let at = cells.iter().position(|c| c.hash == bank[0].hash).unwrap();
+                let run: Vec<&str> = cells[at..at + bank.len()]
+                    .iter()
+                    .map(|c| c.hash.as_str())
+                    .collect();
+                let hashes: Vec<&str> = bank.iter().map(|c| c.hash.as_str()).collect();
+                assert_eq!(hashes, run);
+            }
+            banks.iter().map(Vec::len).collect()
+        };
+        let grid = "pops, thor, pero";
+        assert_eq!(sizes(grid, 1), [16, 16, 16]);
+        assert_eq!(sizes(grid, 2), [16, 16, 8, 8]);
+        assert_eq!(sizes(grid, 3), [16, 16, 16]);
+        assert_eq!(sizes(grid, 4), [16, 16, 8, 8]);
+        assert_eq!(sizes(grid, 5), [16, 8, 8, 8, 8]);
+        assert_eq!(sizes("pops", 1), [16]);
+        assert_eq!(sizes("pops", 2), [8, 8]);
+        assert_eq!(sizes("pops", 3), [8, 4, 4]);
+        // Never below one scheme per bank.
+        let cells = tiny_spec().expand().unwrap();
+        assert_eq!(plan_banks(cells, 8).len(), 2);
+        assert!(plan_banks(Vec::new(), 2).is_empty());
+    }
+
+    #[test]
+    fn bank_metrics_show_the_grouping_and_never_change_records() {
+        let spec = SweepSpec::parse(
+            "schemes = Dir1NB, WTI, Dragon\nscenarios = pops, thor\nrefs = 1_500\n",
+        )
+        .unwrap();
+        let run = |tag: &str, workers: usize, recorder: Arc<dyn Recorder>| {
+            let path = temp_store(tag);
+            let _ = fs::remove_file(&path);
+            let mut store = Store::open(&path).unwrap();
+            let opts = SweepOptions {
+                workers,
+                progress: false,
+                recorder,
+            };
+            let summary = run_sweep(&spec, &mut store, &opts).unwrap();
+            assert_eq!(summary.ran, 6);
+            let bytes = fs::read(&path).unwrap();
+            fs::remove_file(&path).unwrap();
+            bytes
+        };
+
+        // One worker: one bank per scenario, three schemes each.
+        let registry = Arc::new(dirsim_obs::MetricsRegistry::new());
+        let observed = run("metrics", 1, Arc::clone(&registry) as Arc<dyn Recorder>);
+        assert_eq!(registry.counter_value("sweep_banks", &[]), Some(2));
+        let sizes = registry
+            .histogram_summary("sweep_bank_schemes", &[])
+            .unwrap();
+        assert_eq!(
+            (sizes.count, sizes.sum, sizes.min, sizes.max),
+            (2, 6.0, 3.0, 3.0)
+        );
+        for scheme in ["Dir1NB", "WTI", "Dragon"] {
+            let ran = registry.counter_value("sweep_cells_run", &[("scheme", scheme)]);
+            assert_eq!(ran, Some(2), "{scheme}");
+        }
+        // A single worker appends deterministically, so the recorder's
+        // effect on the store is checked byte for byte.
+        assert_eq!(observed, run("plain", 1, Arc::new(NoopRecorder)));
+
+        // Four workers: two 3-scheme banks split into 1 + 2 each.
+        let registry = Arc::new(dirsim_obs::MetricsRegistry::new());
+        run("split", 4, Arc::clone(&registry) as Arc<dyn Recorder>);
+        assert_eq!(registry.counter_value("sweep_banks", &[]), Some(4));
+        let sizes = registry
+            .histogram_summary("sweep_bank_schemes", &[])
+            .unwrap();
+        assert_eq!(
+            (sizes.count, sizes.sum, sizes.min, sizes.max),
+            (4, 6.0, 1.0, 2.0)
+        );
     }
 
     #[test]

@@ -112,9 +112,9 @@ impl std::error::Error for SpecError {}
 /// and bundled scenario names fall through to [`Scenario::resolve`].
 #[derive(Debug, Clone)]
 pub enum SweepSource {
-    /// Synthetic workload, regenerated from its seed per cell.
+    /// Synthetic workload, regenerated from its seed per bank.
     Scenario(Box<Scenario>),
-    /// External trace/corpus file, streamed per cell.
+    /// External trace/corpus file, streamed per bank.
     Trace {
         /// Path as written in the spec.
         path: String,
