@@ -12,16 +12,16 @@
 //! a self-contained demo needing no trace file. `--scenario` swaps that
 //! workload for any bundled scenario by name, for a `.scn` spec file
 //! parsed by the scenario language (see DESIGN.md §15), **or for a trace
-//! or corpus file** — any format the frontend registry sniffs (`DTR1`,
-//! `DTR2`, `DTR3` corpus, text, CSV) is accepted wherever a scenario
-//! name is; a single scheme list may still be given as the only
+//! or corpus file** — any format `dirsim_trace::TraceFormat` detects
+//! (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) is accepted wherever a
+//! scenario name is; a single scheme list may still be given as the only
 //! positional argument. `--list-scenarios` prints the bundled registry
 //! and exits.
 //!
 //! `<scheme>` uses the paper's notation (`Dir0B`, `Dir2NB`, `DirnNB`,
 //! `CoarseVector`, `Tang`, `YenFu`, `WTI`, `Dragon`, `Berkeley`). Trace
-//! files are opened through the frontend registry: magic bytes first,
-//! extension second (see `trace_tool`). Fixed-record `DTR1` files are
+//! files are opened through `open_trace`: magic bytes first, extension
+//! second (see `trace_tool`). Fixed-record `DTR1` files are
 //! memory-mapped and decoded zero-copy; every file is streamed in two
 //! passes (statistics, then simulation), so multi-GB corpora run in
 //! constant memory.
@@ -41,7 +41,7 @@ use dirsim::prelude::*;
 use dirsim_cost::CostCategory;
 use dirsim_mem::CacheGeometry;
 use dirsim_trace::scenario::registry;
-use dirsim_trace::{open_trace, FrontendRegistry};
+use dirsim_trace::{is_trace_file, open_trace};
 
 struct Options {
     schemes: Vec<Scheme>,
@@ -163,33 +163,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     Ok(opts)
 }
 
-/// Streams one statistics pass over a trace file (any registered
-/// format) without materialising it.
-fn stream_stats(path: &str) -> Result<TraceStats, Box<dyn std::error::Error>> {
-    let mut src = open_trace(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut stats = TraceStats::new();
-    let mut chunk = Vec::new();
-    while src
-        .read_chunk(&mut chunk, 65_536)
-        .map_err(|e| format!("{path}: {e}"))?
-        > 0
-    {
-        for r in &chunk {
-            stats.observe(r);
-        }
-    }
-    Ok(stats)
-}
-
-/// Does `arg` (a `--scenario` value) name a trace/corpus file rather
-/// than a scenario? True when it is an existing file the frontend
-/// registry recognises — `.scn` spec files and bundled scenario names
-/// fall through to `Scenario::resolve`.
-fn is_trace_file(arg: &str) -> bool {
-    let path = std::path::Path::new(arg);
-    path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_)))
-}
-
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let opts = parse_args()?;
 
@@ -237,7 +210,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let (refs, stats, trace_desc, seed) = match &trace_path {
         Some(path) => {
-            let stats = stream_stats(path)?;
+            let stats = open_trace(path)
+                .and_then(TraceStats::from_source)
+                .map_err(|e| format!("{path}: {e}"))?;
             if stats.total() == 0 {
                 return Err("trace is empty".into());
             }
@@ -282,8 +257,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // One single-pass broadcast run covers every requested scheme and
     // feeds the phase/scheme instrumentation. Trace files come back
-    // through the frontend registry (mmap-backed and zero-copy for
-    // fixed-record binary); synthetic workloads replay the generated
+    // through `open_trace` (mmap-backed and zero-copy for fixed-record
+    // binary); synthetic workloads replay the generated
     // buffer.
     let started = Instant::now();
     let mut observed = 0u64;

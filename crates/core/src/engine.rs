@@ -24,10 +24,12 @@ use dirsim_mem::{
 use dirsim_protocol::{CoherenceProtocol, EventCounts, EventKind, OpCounts};
 use dirsim_trace::{AccessKind, MemRef};
 
+use crate::error::Error;
 use crate::histogram::FanoutHistogram;
 use crate::invariant;
 use crate::invariant::InvariantViolation;
 use crate::kernel::{self, KernelOverflow, KernelPolicy, LaneKernel};
+use crate::pipeline::step_error;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +48,9 @@ pub struct SimConfig {
     pub geometry: Option<CacheGeometry>,
     /// Audit every reference against the [`crate::invariant`] catalogue
     /// (SWMR, event classification, fan-out, directory agreement) and
-    /// panic on the first violation. Defaults to on in debug builds and,
-    /// in release builds, under the crate's `invariants` feature.
+    /// fail the run with [`Error::Invariant`] on the first violation.
+    /// Defaults to on in debug builds and, in release builds, under the
+    /// crate's `invariants` feature.
     pub check_invariants: bool,
     /// Whether lanes may step through memoized transition-table kernels
     /// instead of the match-based protocol machines (see
@@ -95,9 +98,7 @@ impl SimConfig {
     /// kernels: both audits must be off (rows carry no movements or
     /// probes) and the policy must allow it.
     pub(crate) fn kernel_eligible(&self) -> bool {
-        !self.check_oracle
-            && !self.check_invariants
-            && self.kernels.effective() != KernelPolicy::Disabled
+        !self.check_oracle && !self.check_invariants && self.kernels != KernelPolicy::Disabled
     }
 }
 
@@ -745,13 +746,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if oracle checking is enabled and the
-    /// protocol commits a coherence violation.
-    pub fn run<I>(
-        &self,
-        protocol: &mut dyn CoherenceProtocol,
-        refs: I,
-    ) -> Result<SimResult, SimError>
+    /// Returns [`Error::Sim`] if oracle checking is enabled and the
+    /// protocol commits a coherence violation, and [`Error::Invariant`]
+    /// if invariant auditing is enabled and a protocol invariant fails.
+    pub fn run<I>(&self, protocol: &mut dyn CoherenceProtocol, refs: I) -> Result<SimResult, Error>
     where
         I: IntoIterator<Item = MemRef>,
     {
@@ -759,30 +757,7 @@ impl Simulator {
         for r in refs {
             let index = lane.next_index();
             if let Err(failure) = lane.step(&self.config, protocol, r) {
-                match failure {
-                    StepFailure::Invariant {
-                        violation,
-                        during_eviction: true,
-                    } => panic!(
-                        "protocol invariant violated in {} at reference {index} \
-                         (eviction): {violation}",
-                        protocol.name()
-                    ),
-                    StepFailure::Invariant {
-                        violation,
-                        during_eviction: false,
-                    } => panic!(
-                        "protocol invariant violated in {} at reference {index}: {violation}",
-                        protocol.name()
-                    ),
-                    StepFailure::Oracle(violation) => {
-                        return Err(SimError {
-                            scheme: protocol.name(),
-                            ref_index: index,
-                            violation,
-                        })
-                    }
-                }
+                return Err(step_error(protocol.name(), index, failure));
             }
         }
         Ok(lane.finish(protocol))

@@ -15,9 +15,9 @@ use crate::invariant::InvariantViolation;
 
 /// A protocol-invariant violation attributed to a scheme and reference.
 ///
-/// This is the typed counterpart of the panic [`crate::Simulator::run`]
-/// raises: the broadcast engine reports invariant violations as values so
-/// multi-scheme runs fail cleanly instead of aborting.
+/// Every engine — [`crate::Simulator::run`] and the broadcast engine
+/// alike — reports invariant violations as this value, so a failing run
+/// returns [`Error::Invariant`] instead of aborting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantError {
     /// Protocol whose invariant fired.

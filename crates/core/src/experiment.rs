@@ -59,12 +59,13 @@ impl From<&Scenario> for NamedWorkload {
 /// How an [`Experiment`] executes its matrix.
 ///
 /// Every mode produces bit-identical [`ExperimentResults`]; they differ
-/// only in how many trace-generation passes run and how work is spread
+/// only in how many passes run over each trace and how work is spread
 /// over threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One full pass over each trace per scheme (the paper's literal
-    /// methodology). N schemes pay for N trace generations.
+    /// methodology). Each trace is generated once and held in memory,
+    /// then replayed separately for every scheme.
     Serial,
     /// Generate each trace once and broadcast every chunk through all
     /// schemes in lockstep (the default).

@@ -42,12 +42,10 @@ use dirsim_protocol::{CoherenceProtocol, EventKind, OpCounts, Scheme};
 
 /// Whether lanes may use table-driven kernels (see [`crate::kernel`]).
 ///
-/// The compile-time switches win over the per-run value: building with the
-/// `no-kernels` feature forces [`Disabled`](KernelPolicy::Disabled)
-/// everywhere (every lane steps the match-based machines), while
-/// `force-kernels` upgrades [`Auto`](KernelPolicy::Auto) to
-/// [`Required`](KernelPolicy::Required). Both exist so CI can pin the two
-/// paths bit-identical without touching run configuration.
+/// The run configuration is the only switch: `tests/equivalence.rs` pins
+/// the kernel and match paths bit-identical by running the same streams
+/// under [`Disabled`](KernelPolicy::Disabled),
+/// [`Required`](KernelPolicy::Required) and [`Auto`](KernelPolicy::Auto).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Use kernels whenever a lane is eligible (audits off, cache count
@@ -65,14 +63,10 @@ pub enum KernelPolicy {
 }
 
 impl KernelPolicy {
-    /// The policy after applying the crate's compile-time overrides.
+    /// The policy lanes run under: always `self`, since the run
+    /// configuration is the only switch. Kept so callers that report
+    /// the resolved policy keep compiling.
     pub fn effective(self) -> KernelPolicy {
-        if cfg!(feature = "no-kernels") {
-            return KernelPolicy::Disabled;
-        }
-        if cfg!(feature = "force-kernels") && self == KernelPolicy::Auto {
-            return KernelPolicy::Required;
-        }
         self
     }
 }
@@ -608,18 +602,5 @@ mod tests {
         }
         assert_eq!(materialized.snapshot(), direct.snapshot());
         assert_eq!(k.tracked(), materialized.tracked_blocks() as u64);
-    }
-
-    #[test]
-    fn policy_effective_respects_features() {
-        // Without the override features, effective() is the identity.
-        if cfg!(not(any(feature = "no-kernels", feature = "force-kernels"))) {
-            assert_eq!(KernelPolicy::Auto.effective(), KernelPolicy::Auto);
-            assert_eq!(KernelPolicy::Disabled.effective(), KernelPolicy::Disabled);
-            assert_eq!(KernelPolicy::Required.effective(), KernelPolicy::Required);
-        }
-        if cfg!(feature = "no-kernels") {
-            assert_eq!(KernelPolicy::Required.effective(), KernelPolicy::Disabled);
-        }
     }
 }

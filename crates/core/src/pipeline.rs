@@ -147,7 +147,7 @@ impl LaneBank {
                     return None;
                 }
                 let kernel = LaneKernel::new(s, caches);
-                if kernel.is_none() && config.kernels.effective() == KernelPolicy::Required {
+                if kernel.is_none() && config.kernels == KernelPolicy::Required {
                     panic!(
                         "KernelPolicy::Required, but {caches} caches exceed the \
                          table-kernel cap for {s:?}"
@@ -373,8 +373,10 @@ fn step_direct(
     Ok(())
 }
 
+/// Attributes a step failure to its scheme and reference as a typed
+/// [`Error`].
 #[cold]
-fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
+pub(crate) fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
     match failure {
         StepFailure::Invariant { violation, .. } => Error::Invariant(InvariantError {
             scheme,

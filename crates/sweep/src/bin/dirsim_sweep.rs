@@ -8,9 +8,10 @@
 //!
 //! The spec names the grid's axes (see `crates/sweep/specs/` for the
 //! committed grids); a `scenarios` entry may be a bundled scenario name,
-//! a `.scn` spec file, or a trace/corpus file in any format the frontend
-//! registry sniffs (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) — trace
-//! entries stream the file instead of regenerating a synthetic workload.
+//! a `.scn` spec file, or a trace/corpus file in any format
+//! `dirsim_trace::TraceFormat` detects (`DTR1`, `DTR2`, `DTR3` corpus,
+//! text, CSV) — trace entries stream the file instead of regenerating a
+//! synthetic workload.
 //! Cells that differ only in their scheme run as one single-pass bank
 //! over one generated or streamed input. The store (default `sweep-store.jsonl`) accumulates
 //! one JSON line per completed cell, keyed by configuration hash. Cells

@@ -32,8 +32,8 @@ use dirsim_trace::Scenario;
 pub const CELL_IDENTITY_VERSION: u32 = 1;
 
 /// What a cell simulates: a synthetic workload regenerated from its
-/// scenario seed, or an external trace file streamed through the
-/// frontend registry at run time.
+/// scenario seed, or an external trace file streamed through
+/// `open_trace` at run time.
 #[derive(Debug, Clone)]
 pub enum CellInput {
     /// Synthetic workload (CPU override already applied).

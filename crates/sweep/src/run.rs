@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, NamedWorkload, SimConfig, SimResult};
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
-use dirsim_trace::{open_trace, TakeSource, TraceSource, TraceStats};
+use dirsim_trace::{open_trace, TakeSource, TraceStats};
 
 use crate::cell::{Cell, CellInput, CellRecord};
 use crate::store::Store;
@@ -227,7 +227,7 @@ fn same_bank(a: &Cell, b: &Cell) -> bool {
 /// in bank order.
 ///
 /// Synthetic banks go through the normal [`Experiment`] front door;
-/// trace banks stream their file through the frontend registry into a
+/// trace banks stream their file through `open_trace` into a
 /// [`BroadcastSimulator`]. Both run inline on the calling worker, so the
 /// bank's stream is generated or decoded once for all its schemes, and
 /// every result is bit-identical to a one-scheme run of its cell.
@@ -276,19 +276,9 @@ fn trace_caches(cell: &Cell, path: &str) -> Result<u32, SweepError> {
     if let Some(cpus) = cell.cpus {
         return Ok(u32::from(cpus));
     }
-    let source = open_trace(path).map_err(dirsim::Error::from)?;
-    let mut src = TakeSource::new(source, cell.refs as u64);
-    let mut stats = TraceStats::new();
-    let mut chunk = Vec::new();
-    while src
-        .read_chunk(&mut chunk, 65_536)
-        .map_err(dirsim::Error::from)?
-        > 0
-    {
-        for r in &chunk {
-            stats.observe(r);
-        }
-    }
+    let stats = open_trace(path)
+        .and_then(|source| TraceStats::from_source(TakeSource::new(source, cell.refs as u64)))
+        .map_err(dirsim::Error::from)?;
     if stats.total() == 0 {
         return Err(SweepError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidData,

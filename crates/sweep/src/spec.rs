@@ -19,8 +19,8 @@
 //! `refs = 100_000`, `cost-models = pipelined`). Scenario entries are
 //! resolved the same way `simulate --scenario` resolves them: a bundled
 //! name (`pops`), a path to a `.scn` file, **or a path to a trace or
-//! corpus file** in any format the frontend registry sniffs (`DTR1`,
-//! `DTR2`, `DTR3` corpus, text, CSV) — an existing file the registry
+//! corpus file** in any format `dirsim_trace::TraceFormat` detects
+//! (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) — an existing file it
 //! recognises becomes a [`SweepSource::Trace`] axis entry, streamed at
 //! run time instead of regenerated from a seed. `cost-models` selects
 //! which cost columns the report renders; it is *not* part of a cell's
@@ -34,7 +34,7 @@ use std::str::FromStr;
 use dirsim_mem::CacheGeometry;
 use dirsim_protocol::Scheme;
 use dirsim_trace::synth::WorkloadConfig;
-use dirsim_trace::{FrontendRegistry, Scenario};
+use dirsim_trace::{is_trace_file, Scenario};
 
 use crate::cell::Cell;
 
@@ -106,10 +106,11 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// One entry of the `scenarios` axis: a synthetic scenario, or an
-/// existing trace/corpus file in any format the frontend registry
-/// recognises. The sniffing rule is the one `simulate --scenario`
-/// applies — magic bytes first, extension second — so `.scn` spec files
-/// and bundled scenario names fall through to [`Scenario::resolve`].
+/// existing trace/corpus file in any format
+/// [`dirsim_trace::TraceFormat`] recognises. The sniffing rule is the
+/// one `simulate --scenario` applies — magic bytes first, extension
+/// second — so `.scn` spec files and bundled scenario names fall
+/// through to [`Scenario::resolve`].
 #[derive(Debug, Clone)]
 pub enum SweepSource {
     /// Synthetic workload, regenerated from its seed per bank.
@@ -355,12 +356,11 @@ fn parse_scenarios(values: &[&str], line: usize) -> Result<Vec<SweepSource>, Spe
     let sources = values
         .iter()
         .map(|v| {
-            // The same rule `simulate --scenario` applies: an existing
-            // file the frontend registry recognises is a trace; `.scn`
-            // files and bundled names resolve as scenarios.
-            let path = std::path::Path::new(v);
-            if path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_))) {
-                let len = std::fs::metadata(path)
+            // The same rule `simulate --scenario` applies: a trace file
+            // is a trace; `.scn` files and bundled names resolve as
+            // scenarios.
+            if is_trace_file(v) {
+                let len = std::fs::metadata(v)
                     .map_err(|e| SpecError::at(line, format!("trace `{v}`: {e}")))?
                     .len();
                 return Ok(SweepSource::Trace {

@@ -73,7 +73,10 @@ pub fn header_bytes() -> [u8; HEADER_LEN] {
 pub fn check_header(header: &[u8; HEADER_LEN]) -> Result<(), TraceIoError> {
     let magic: [u8; 4] = header[0..4].try_into().expect("slice length is 4");
     if magic != BINARY_MAGIC {
-        return Err(TraceIoError::BadMagic(magic));
+        return Err(TraceIoError::BadMagic {
+            found: magic,
+            expected: BINARY_MAGIC,
+        });
     }
     Ok(())
 }
@@ -196,7 +199,10 @@ mod tests {
         check_header(&h).unwrap();
         let mut bad = h;
         bad[0] = b'X';
-        assert!(matches!(check_header(&bad), Err(TraceIoError::BadMagic(_))));
+        assert!(matches!(
+            check_header(&bad),
+            Err(TraceIoError::BadMagic { .. })
+        ));
     }
 
     #[test]

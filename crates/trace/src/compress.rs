@@ -228,7 +228,10 @@ impl<R: Read> CompressedReader<R> {
         self.inner.read_exact(&mut header)?;
         let magic: [u8; 4] = header[0..4].try_into().expect("slice length is 4");
         if magic != COMPRESSED_MAGIC {
-            return Err(TraceIoError::BadMagic(magic));
+            return Err(TraceIoError::BadMagic {
+                found: magic,
+                expected: COMPRESSED_MAGIC,
+            });
         }
         Ok(())
     }
@@ -376,7 +379,10 @@ mod tests {
     fn bad_magic_detected() {
         let buf = b"DTR1....".to_vec();
         let mut rd = read_compressed(&buf[..]);
-        assert!(matches!(rd.next(), Some(Err(TraceIoError::BadMagic(_)))));
+        assert!(matches!(
+            rd.next(),
+            Some(Err(TraceIoError::BadMagic { .. }))
+        ));
         assert!(rd.next().is_none());
     }
 

@@ -229,6 +229,21 @@ impl<R: Read + Seek> CorpusReader<R> {
     pub fn new(mut r: R) -> Result<Self, TraceIoError> {
         let total = r.seek(SeekFrom::End(0))?;
         let overhead = (CORPUS_HEADER_LEN + CORPUS_FOOTER_LEN) as u64;
+        if total < CORPUS_HEADER_LEN as u64 {
+            return Err(TraceIoError::TruncatedRecord);
+        }
+        // The outer magic first, so a file that is no corpus at all says
+        // so instead of reporting a torn footer.
+        r.seek(SeekFrom::Start(0))?;
+        let mut header = [0u8; CORPUS_HEADER_LEN];
+        r.read_exact(&mut header)?;
+        let magic: [u8; 4] = header[0..4].try_into().expect("len 4");
+        if magic != CORPUS_MAGIC {
+            return Err(TraceIoError::BadMagic {
+                found: magic,
+                expected: CORPUS_MAGIC,
+            });
+        }
         if total < overhead {
             return Err(TraceIoError::TruncatedRecord);
         }
@@ -241,13 +256,7 @@ impl<R: Read + Seek> CorpusReader<R> {
         }
         let expected_count = u64::from_le_bytes(footer[0..8].try_into().expect("len 8"));
         let expected_checksum = u64::from_le_bytes(footer[8..16].try_into().expect("len 8"));
-        r.seek(SeekFrom::Start(0))?;
-        let mut header = [0u8; CORPUS_HEADER_LEN];
-        r.read_exact(&mut header)?;
-        let magic: [u8; 4] = header[0..4].try_into().expect("len 4");
-        if magic != CORPUS_MAGIC {
-            return Err(TraceIoError::BadMagic(magic));
-        }
+        r.seek(SeekFrom::Start(CORPUS_HEADER_LEN as u64))?;
         let payload_len = total - overhead;
         let inner = read_compressed(ChecksumReader::new(r.take(payload_len)));
         Ok(CorpusReader {
@@ -423,7 +432,7 @@ mod tests {
         buf[0] = b'X';
         assert!(matches!(
             CorpusReader::new(Cursor::new(&buf)),
-            Err(TraceIoError::BadMagic(_))
+            Err(TraceIoError::BadMagic { .. })
         ));
     }
 

@@ -1,24 +1,22 @@
-//! Pluggable trace-format frontends and `open_trace` path sniffing.
+//! The trace-format table and `open_trace` path sniffing.
 //!
 //! Every consumer of trace files (`simulate`, `trace_tool`,
-//! `dirsim-sweep`) used to carry its own extension-based dispatch; this
-//! module centralises the decision behind a [`TraceFrontend`] registry in
-//! the style large-scale cluster simulators use for their per-provider
-//! trace readers (one adapter per foreign schema, all producing the same
-//! internal record stream). A frontend *sniffs* a file — magic bytes
-//! first, extension as a fallback for headerless text formats — and
-//! *opens* it as a boxed [`TraceSource`], so adding a new external format
-//! touches exactly one place.
+//! `dirsim-sweep`) asks the same question — which format is this file?
+//! — and [`TraceFormat`] is the one place that answers it. The table is
+//! closed: each format's magic and extensions are listed here and
+//! nowhere else.
 //!
-//! Built-in frontends:
+//! | format | magic | extensions | source | output |
+//! |--------|-------|------------|--------|--------|
+//! | [`Corpus`](TraceFormat::Corpus) | `DTR3` | `.dtrz` | [`crate::corpus::CorpusReader`] | yes |
+//! | [`Compressed`](TraceFormat::Compressed) | `DTR2` | `.dtr2` | [`crate::compress::CompressedReader`] | no: read-only, the `DTR3` payload |
+//! | [`Binary`](TraceFormat::Binary) | `DTR1` | `.dtr`, `.dtr1`, `.bin` | [`crate::mmap::MmapTraceSource`] | yes, and for any other name |
+//! | [`Text`](TraceFormat::Text) | — | `.txt`, `.trace` | [`crate::io::TextReader`] | yes |
+//! | [`Csv`](TraceFormat::Csv) | — | `.csv` | [`CsvReader`] (foreign `timestamp,cpu,op,addr[,pid]` rows) | yes |
 //!
-//! | name | claims | source |
-//! |------|--------|--------|
-//! | `corpus` | `DTR3` magic, `.dtrz` | [`crate::corpus::CorpusReader`] |
-//! | `compressed` | `DTR2` magic, `.dtr2` | [`crate::compress::CompressedReader`] |
-//! | `binary` | `DTR1` magic, `.dtr`/`.dtr1`/`.bin` | [`crate::mmap::MmapTraceSource`] (zero-copy) |
-//! | `text` | `.txt`, `.trace` | [`crate::io::TextReader`] |
-//! | `csv` | `.csv` | [`CsvReader`] (foreign `timestamp,cpu,op,addr[,pid]` rows) |
+//! [`TraceFormat::detect`] checks every magic before any extension, so
+//! a `DTR1`, `DTR2` or `DTR3` file opens under any name; the headerless
+//! text and CSV formats are known by extension alone.
 //!
 //! ```no_run
 //! use dirsim_trace::frontend::open_trace;
@@ -30,269 +28,182 @@
 //! ```
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 use crate::compress::{read_compressed, COMPRESSED_MAGIC};
-use crate::corpus::{CorpusReader, CORPUS_MAGIC};
-use crate::io::{read_text, TraceIoError, BINARY_MAGIC};
+use crate::corpus::{write_corpus, CorpusReader, CORPUS_MAGIC};
+use crate::io::{read_text, write_binary, write_text, TraceIoError, BINARY_MAGIC};
 use crate::mmap::MmapTraceSource;
-use crate::source::{fill_from_results, TraceSource};
+use crate::source::{fill_from_results, IterSource, TraceSource};
 use crate::types::{AccessKind, Addr, CpuId, MemRef, ProcessId, RefFlags};
 
-/// A format adapter: recognises files of one trace format and opens them
-/// as reference streams.
-///
-/// Contract: `sniff` must be cheap and side-effect free (it sees the
-/// path and the file's first bytes, nothing more); `open` must yield a
-/// stream whose records are in trace order; decode failures surface as
-/// typed [`TraceIoError`]s from the returned source, not panics.
-pub trait TraceFrontend {
-    /// Short identifier (`binary`, `csv`, ...).
-    fn name(&self) -> &'static str;
+/// A trace file format: the closed table of everything `dirsim` reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// Packed `DTR3` corpus: a `DTR2` payload behind a checksum footer.
+    Corpus,
+    /// Delta-compressed `DTR2` stream. Read-only: it survives as the
+    /// corpus payload, and `.dtrz` is the compressed output format.
+    Compressed,
+    /// Fixed-record `DTR1` trace, opened memory-mapped.
+    Binary,
+    /// Whitespace-separated text records.
+    Text,
+    /// Foreign `timestamp,cpu,op,addr[,pid]` rows (flag-lossy).
+    Csv,
+}
 
-    /// One-line human description.
-    fn description(&self) -> &'static str;
+impl TraceFormat {
+    /// Every format, in the order detection consults them.
+    const ALL: [TraceFormat; 5] = [
+        TraceFormat::Corpus,
+        TraceFormat::Compressed,
+        TraceFormat::Binary,
+        TraceFormat::Text,
+        TraceFormat::Csv,
+    ];
 
-    /// Whether this frontend claims the file. `prefix` holds the file's
-    /// first bytes (up to 8; shorter for tiny files).
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool;
+    /// Short human-readable name (`DTR3 corpus`, `CSV`, ...).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            TraceFormat::Corpus => "DTR3 corpus",
+            TraceFormat::Compressed => "DTR2 compressed",
+            TraceFormat::Binary => "DTR1 binary",
+            TraceFormat::Text => "text",
+            TraceFormat::Csv => "CSV",
+        }
+    }
 
-    /// Opens the file as a reference stream.
+    /// The magic bytes opening a file of this format, if it has a header.
+    fn magic(self) -> Option<[u8; 4]> {
+        match self {
+            TraceFormat::Corpus => Some(CORPUS_MAGIC),
+            TraceFormat::Compressed => Some(COMPRESSED_MAGIC),
+            TraceFormat::Binary => Some(BINARY_MAGIC),
+            TraceFormat::Text | TraceFormat::Csv => None,
+        }
+    }
+
+    /// The file extensions naming this format (lower case, no dot).
+    fn extensions(self) -> &'static [&'static str] {
+        match self {
+            TraceFormat::Corpus => &["dtrz"],
+            TraceFormat::Compressed => &["dtr2"],
+            TraceFormat::Binary => &["dtr", "dtr1", "bin"],
+            TraceFormat::Text => &["txt", "trace"],
+            TraceFormat::Csv => &["csv"],
+        }
+    }
+
+    fn from_magic(prefix: &[u8]) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|f| f.magic().is_some_and(|m| prefix.starts_with(&m)))
+    }
+
+    fn from_extension(path: &Path) -> Option<Self> {
+        let ext = path.extension()?.to_str()?.to_ascii_lowercase();
+        Self::ALL
+            .into_iter()
+            .find(|f| f.extensions().contains(&ext.as_str()))
+    }
+
+    /// The format of the file at `path`: the format whose magic opens
+    /// the file, else the one its extension names, else `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] if the file cannot be read.
+    pub fn detect(path: impl AsRef<Path>) -> Result<Option<Self>, TraceIoError> {
+        let path = path.as_ref();
+        let prefix = read_prefix(path)?;
+        Ok(Self::from_magic(&prefix).or_else(|| Self::from_extension(path)))
+    }
+
+    /// Opens `path` as a stream of this format.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceIoError`] when the file cannot be opened or its
-    /// header is invalid.
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError>;
-}
-
-fn ext_of(path: &Path) -> Option<String> {
-    path.extension()
-        .and_then(|e| e.to_str())
-        .map(|e| e.to_ascii_lowercase())
-}
-
-fn has_magic(prefix: &[u8], magic: &[u8; 4]) -> bool {
-    prefix.len() >= 4 && &prefix[0..4] == magic
-}
-
-#[derive(Debug)]
-struct CorpusFrontend;
-
-impl TraceFrontend for CorpusFrontend {
-    fn name(&self) -> &'static str {
-        "corpus"
+    /// header is invalid; later decode failures surface from the
+    /// returned source.
+    pub fn open(self, path: impl AsRef<Path>) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
+        let path = path.as_ref();
+        Ok(match self {
+            TraceFormat::Corpus => Box::new(CorpusReader::open(path)?),
+            TraceFormat::Compressed => Box::new(read_compressed(BufReader::new(File::open(path)?))),
+            TraceFormat::Binary => Box::new(MmapTraceSource::open(path)?),
+            TraceFormat::Text => Box::new(read_text(BufReader::new(File::open(path)?))),
+            TraceFormat::Csv => Box::new(read_csv(BufReader::new(File::open(path)?))),
+        })
     }
 
-    fn description(&self) -> &'static str {
-        "packed DTR3 corpus (compressed, checksum footer)"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &CORPUS_MAGIC) || ext_of(path).as_deref() == Some("dtrz")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        Ok(Box::new(CorpusReader::open(path)?))
-    }
-}
-
-#[derive(Debug)]
-struct CompressedFrontend;
-
-impl TraceFrontend for CompressedFrontend {
-    fn name(&self) -> &'static str {
-        "compressed"
-    }
-
-    fn description(&self) -> &'static str {
-        "delta-compressed DTR2 stream"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &COMPRESSED_MAGIC) || ext_of(path).as_deref() == Some("dtr2")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_compressed(BufReader::new(file))))
-    }
-}
-
-#[derive(Debug)]
-struct BinaryFrontend;
-
-impl TraceFrontend for BinaryFrontend {
-    fn name(&self) -> &'static str {
-        "binary"
-    }
-
-    fn description(&self) -> &'static str {
-        "fixed-record DTR1 trace (memory-mapped, zero-copy)"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &BINARY_MAGIC)
-            || matches!(ext_of(path).as_deref(), Some("dtr" | "dtr1" | "bin"))
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        Ok(Box::new(MmapTraceSource::open(path)?))
-    }
-}
-
-#[derive(Debug)]
-struct TextFrontend;
-
-impl TraceFrontend for TextFrontend {
-    fn name(&self) -> &'static str {
-        "text"
-    }
-
-    fn description(&self) -> &'static str {
-        "whitespace-separated text records"
-    }
-
-    fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-        matches!(ext_of(path).as_deref(), Some("txt" | "trace"))
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_text(BufReader::new(file))))
-    }
-}
-
-#[derive(Debug)]
-struct CsvFrontend;
-
-impl TraceFrontend for CsvFrontend {
-    fn name(&self) -> &'static str {
-        "csv"
-    }
-
-    fn description(&self) -> &'static str {
-        "foreign timestamp,cpu,op,addr[,pid] rows"
-    }
-
-    fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-        ext_of(path).as_deref() == Some("csv")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_csv(BufReader::new(file))))
-    }
-}
-
-/// The ordered set of known frontends.
-///
-/// Order matters only for overlap, and magic-bearing formats are checked
-/// before extension-only ones, so a `DTR1` file named `foo.txt` is still
-/// read as binary.
-pub struct FrontendRegistry {
-    frontends: Vec<Box<dyn TraceFrontend + Send + Sync>>,
-}
-
-impl std::fmt::Debug for FrontendRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontendRegistry")
-            .field("frontends", &self.names())
-            .finish()
-    }
-}
-
-impl Default for FrontendRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl FrontendRegistry {
-    /// A registry holding every built-in frontend.
-    pub fn builtin() -> Self {
-        FrontendRegistry {
-            frontends: vec![
-                Box::new(CorpusFrontend),
-                Box::new(CompressedFrontend),
-                Box::new(BinaryFrontend),
-                Box::new(TextFrontend),
-                Box::new(CsvFrontend),
-            ],
+    /// The format written to `path`: the one its extension names, and
+    /// fixed-record binary for any other name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::ReadOnly`] for a `.dtr2` path.
+    pub fn for_output(path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
+        match Self::from_extension(path.as_ref()).unwrap_or(TraceFormat::Binary) {
+            TraceFormat::Compressed => Err(TraceIoError::ReadOnly(TraceFormat::Compressed)),
+            format => Ok(format),
         }
     }
 
-    /// Adds a frontend, consulted after the built-ins.
-    pub fn register(&mut self, frontend: Box<dyn TraceFrontend + Send + Sync>) {
-        self.frontends.push(frontend);
-    }
-
-    /// Names of the registered frontends, in sniffing order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.frontends.iter().map(|f| f.name()).collect()
-    }
-
-    /// The frontend claiming `path`, if any.
+    /// Streams `refs` to `w` in this format and returns the number
+    /// written. Every writer encodes as it goes, so the trace is never
+    /// held in memory.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceIoError::Io`] if the file cannot be opened for
-    /// sniffing.
-    pub fn find(&self, path: &Path) -> Result<Option<&dyn TraceFrontend>, TraceIoError> {
-        let prefix = read_prefix(path)?;
-        Ok(self
-            .frontends
-            .iter()
-            .find(|f| f.sniff(path, &prefix))
-            .map(|f| f.as_ref() as &dyn TraceFrontend))
-    }
-
-    /// Sniffs `path` and opens it with the claiming frontend.
-    ///
-    /// When no frontend claims the file, it is handed to the binary
-    /// frontend — the historical default — so unrecognised files fail
-    /// with the usual [`TraceIoError::BadMagic`] rather than a bespoke
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// Any open/validation error from the chosen frontend.
-    pub fn open(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let path = path.as_ref();
-        match self.find(path)? {
-            Some(frontend) => frontend.open(path),
-            None => BinaryFrontend.open(path),
+    /// Returns [`TraceIoError::ReadOnly`] for [`Compressed`](Self::Compressed),
+    /// and any error from the underlying writer.
+    pub fn write<W, I>(self, w: &mut W, refs: I) -> Result<u64, TraceIoError>
+    where
+        W: Write,
+        I: IntoIterator<Item = MemRef>,
+    {
+        match self {
+            TraceFormat::Corpus => write_corpus(w, IterSource::new(refs.into_iter())),
+            TraceFormat::Compressed => Err(TraceIoError::ReadOnly(self)),
+            TraceFormat::Binary => write_binary(w, refs),
+            TraceFormat::Text => write_text(w, refs),
+            TraceFormat::Csv => write_csv(w, refs),
         }
     }
 }
 
 fn read_prefix(path: &Path) -> Result<Vec<u8>, TraceIoError> {
-    let mut file = File::open(path)?;
-    let mut prefix = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < prefix.len() {
-        match file.read(&mut prefix[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(prefix[..filled].to_vec())
+    let mut prefix = Vec::with_capacity(4);
+    File::open(path)?.take(4).read_to_end(&mut prefix)?;
+    Ok(prefix)
 }
 
-/// Opens a trace file of any registered format (the one-call entry point
-/// the CLIs use).
+/// Whether `path` names a trace file: an existing regular file whose
+/// format [`TraceFormat::detect`] recognises. This is how `simulate
+/// --scenario` and a `.sweep` `scenarios` axis tell a trace file from a
+/// bundled scenario name or a `.scn` spec.
+pub fn is_trace_file(path: impl AsRef<Path>) -> bool {
+    let path = path.as_ref();
+    path.is_file() && matches!(TraceFormat::detect(path), Ok(Some(_)))
+}
+
+/// Opens a trace file of any format (the one-call entry point the CLIs
+/// use).
+///
+/// A file no format recognises is handed to the binary reader, so it
+/// fails with the usual [`TraceIoError::BadMagic`].
 ///
 /// # Errors
 ///
-/// See [`FrontendRegistry::open`].
+/// Any open or header error from the detected format.
 pub fn open_trace(path: impl AsRef<Path>) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-    FrontendRegistry::builtin().open(path)
+    let path = path.as_ref();
+    TraceFormat::detect(path)?
+        .unwrap_or(TraceFormat::Binary)
+        .open(path)
 }
 
 /// Streaming reader over foreign CSV rows.
@@ -446,7 +357,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::write_binary;
     use crate::source::collect_all;
     use crate::synth::PaperTrace;
 
@@ -458,6 +368,19 @@ mod tests {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    fn encode(format: TraceFormat, refs: &[MemRef]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        match format {
+            TraceFormat::Compressed => {
+                crate::compress::write_compressed(&mut bytes, refs.iter().copied()).unwrap();
+            }
+            _ => {
+                format.write(&mut bytes, refs.iter().copied()).unwrap();
+            }
+        }
+        bytes
     }
 
     #[test]
@@ -510,58 +433,58 @@ mod tests {
     }
 
     #[test]
-    fn registry_sniffs_magic_over_extension() {
-        let refs: Vec<MemRef> = PaperTrace::Pops.workload().take(50).collect();
-        let mut bin = Vec::new();
-        write_binary(&mut bin, refs.iter().copied()).unwrap();
-        // A DTR1 file with a lying .txt extension still opens as binary.
-        let path = temp_path("lying.txt");
-        std::fs::write(&path, &bin).unwrap();
-        let registry = FrontendRegistry::builtin();
-        let frontend = registry.find(&path).unwrap().unwrap();
-        assert_eq!(frontend.name(), "binary");
-        let got = collect_all(registry.open(&path).unwrap()).unwrap();
-        assert_eq!(got, refs);
-        std::fs::remove_file(&path).unwrap();
+    fn format_table_is_unambiguous() {
+        let mut magics = Vec::new();
+        let mut extensions = Vec::new();
+        for format in TraceFormat::ALL {
+            magics.extend(format.magic());
+            extensions.extend_from_slice(format.extensions());
+        }
+        let (m, e) = (magics.len(), extensions.len());
+        magics.sort_unstable();
+        magics.dedup();
+        extensions.sort_unstable();
+        extensions.dedup();
+        assert_eq!((magics.len(), extensions.len()), (m, e));
     }
 
     #[test]
-    fn registry_opens_every_builtin_format() {
+    fn magic_wins_over_every_extension() {
+        let refs: Vec<MemRef> = PaperTrace::Thor.workload().take(300).collect();
+        for format in [
+            TraceFormat::Binary,
+            TraceFormat::Compressed,
+            TraceFormat::Corpus,
+        ] {
+            let bytes = encode(format, &refs);
+            for ext in ["dtr", "dtr2", "dtrz", "txt", "csv"] {
+                let path = temp_path(&format!("magic.{ext}"));
+                std::fs::write(&path, &bytes).unwrap();
+                assert_eq!(TraceFormat::detect(&path).unwrap(), Some(format), "{ext}");
+                let got = collect_all(open_trace(&path).unwrap()).unwrap();
+                assert_eq!(got, refs, "{} bytes named .{ext}", format.name());
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn headerless_formats_open_by_extension() {
         let refs: Vec<MemRef> = PaperTrace::Thor
             .workload()
             .take(300)
             .map(|r| r.with_flags(RefFlags::empty()))
             .collect();
-
-        let mut bin = Vec::new();
-        write_binary(&mut bin, refs.iter().copied()).unwrap();
-        let mut packed = Vec::new();
-        crate::compress::write_compressed(&mut packed, refs.iter().copied()).unwrap();
-        let mut corpus = Vec::new();
-        crate::corpus::write_corpus(
-            &mut corpus,
-            crate::source::IterSource::new(refs.iter().copied()),
-        )
-        .unwrap();
-        let mut text = Vec::new();
-        crate::io::write_text(&mut text, refs.iter().copied()).unwrap();
-        let mut csv = Vec::new();
-        write_csv(&mut csv, refs.iter().copied()).unwrap();
-
-        for (name, ext, bytes) in [
-            ("binary", "dtr", &bin),
-            ("compressed", "dtr2", &packed),
-            ("corpus", "dtrz", &corpus),
-            ("text", "txt", &text),
-            ("csv", "csv", &csv),
+        for (format, ext) in [
+            (TraceFormat::Text, "txt"),
+            (TraceFormat::Text, "trace"),
+            (TraceFormat::Csv, "csv"),
         ] {
-            let path = temp_path(&format!("fmt.{ext}"));
-            std::fs::write(&path, bytes).unwrap();
-            let registry = FrontendRegistry::builtin();
-            let frontend = registry.find(&path).unwrap().unwrap();
-            assert_eq!(frontend.name(), name, "extension {ext}");
-            let got = collect_all(registry.open(&path).unwrap()).unwrap();
-            assert_eq!(got, refs, "format {name}");
+            let path = temp_path(&format!("plain.{ext}"));
+            std::fs::write(&path, encode(format, &refs)).unwrap();
+            assert_eq!(TraceFormat::detect(&path).unwrap(), Some(format), "{ext}");
+            let got = collect_all(open_trace(&path).unwrap()).unwrap();
+            assert_eq!(got, refs, "{ext}");
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -570,41 +493,58 @@ mod tests {
     fn unknown_files_fail_with_bad_magic() {
         let path = temp_path("mystery.bits");
         std::fs::write(&path, b"GARBAGE!").unwrap();
-        let registry = FrontendRegistry::builtin();
-        assert!(registry.find(&path).unwrap().is_none());
-        let err = match registry.open(&path) {
+        assert_eq!(TraceFormat::detect(&path).unwrap(), None);
+        assert!(!is_trace_file(&path));
+        let err = match open_trace(&path) {
             Err(e) => e,
             Ok(_) => panic!("garbage file must not open"),
         };
-        assert!(matches!(err, TraceIoError::BadMagic(_)), "{err}");
+        assert!(matches!(err, TraceIoError::BadMagic { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn custom_frontends_can_register() {
-        #[derive(Debug)]
-        struct Claims;
-        impl TraceFrontend for Claims {
-            fn name(&self) -> &'static str {
-                "claims"
-            }
-            fn description(&self) -> &'static str {
-                "test"
-            }
-            fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-                ext_of(path).as_deref() == Some("weird")
-            }
-            fn open(&self, _path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-                Ok(Box::new(crate::source::IterSource::new(std::iter::empty())))
-            }
+    fn bad_magic_names_the_magic_its_reader_expected() {
+        for (ext, expected) in [("dtrz", "DTR3"), ("dtr2", "DTR2"), ("dtr", "DTR1")] {
+            let path = temp_path(&format!("garbage.{ext}"));
+            std::fs::write(&path, b"GARBAGE!".repeat(8)).unwrap();
+            let err = match open_trace(&path) {
+                Err(e) => e,
+                Ok(source) => collect_all(source).expect_err("garbage must not decode"),
+            };
+            std::fs::remove_file(&path).unwrap();
+            assert!(matches!(err, TraceIoError::BadMagic { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("expected \"{expected}\"")),
+                "{ext}: {msg}"
+            );
+            assert!(msg.contains("\"GARB\""), "{ext}: {msg}");
         }
-        let mut registry = FrontendRegistry::builtin();
-        registry.register(Box::new(Claims));
-        assert!(registry.names().contains(&"claims"));
-        let path = temp_path("x.weird");
-        std::fs::write(&path, b"").unwrap();
-        let frontend = registry.find(&path).unwrap().unwrap();
-        assert_eq!(frontend.name(), "claims");
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn compressed_output_is_refused_with_a_pointer_to_dtrz() {
+        let err = TraceFormat::for_output("out.dtr2").unwrap_err();
+        assert!(matches!(
+            err,
+            TraceIoError::ReadOnly(TraceFormat::Compressed)
+        ));
+        assert!(err.to_string().contains(".dtrz"), "{err}");
+        let mut sink = Vec::new();
+        assert!(TraceFormat::Compressed
+            .write(&mut sink, std::iter::empty())
+            .is_err());
+        assert!(sink.is_empty());
+        for (path, format) in [
+            ("out.dtrz", TraceFormat::Corpus),
+            ("out.TXT", TraceFormat::Text),
+            ("out.csv", TraceFormat::Csv),
+            ("out.dtr", TraceFormat::Binary),
+            ("out", TraceFormat::Binary),
+            ("out.scn", TraceFormat::Binary),
+        ] {
+            assert_eq!(TraceFormat::for_output(path).unwrap(), format, "{path}");
+        }
     }
 }

@@ -16,6 +16,7 @@
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
+use crate::frontend::TraceFormat;
 use crate::types::{AccessKind, Addr, CpuId, MemRef, ProcessId, RefFlags};
 
 /// Magic bytes opening a binary trace stream.
@@ -29,8 +30,13 @@ pub const BINARY_RECORD_LEN: usize = 16;
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream did not begin with [`BINARY_MAGIC`].
-    BadMagic([u8; 4]),
+    /// The stream did not begin with the magic its reader expected.
+    BadMagic {
+        /// The first four bytes of the stream.
+        found: [u8; 4],
+        /// The magic of the format being read.
+        expected: [u8; 4],
+    },
     /// A record contained an unknown access-kind byte.
     BadAccessKind(u8),
     /// The stream ended in the middle of a record.
@@ -62,15 +68,20 @@ pub enum TraceIoError {
         /// Records actually decoded.
         actual: u64,
     },
+    /// Output was requested in a format that is read-only.
+    ReadOnly(TraceFormat),
 }
 
 impl fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceIoError::Io(e) => write!(f, "trace i/o error: {e}"),
-            TraceIoError::BadMagic(m) => {
-                write!(f, "bad trace magic {m:?}, expected {BINARY_MAGIC:?}")
-            }
+            TraceIoError::BadMagic { found, expected } => write!(
+                f,
+                "bad trace magic \"{}\", expected \"{}\"",
+                found.escape_ascii(),
+                expected.escape_ascii()
+            ),
             TraceIoError::BadAccessKind(b) => write!(f, "unknown access kind byte {b:#x}"),
             TraceIoError::TruncatedRecord => write!(f, "truncated trace record"),
             TraceIoError::BadTextRecord { line, reason } => {
@@ -91,6 +102,11 @@ impl fmt::Display for TraceIoError {
                     "corpus record count mismatch: footer says {expected}, decoded {actual}"
                 )
             }
+            TraceIoError::ReadOnly(format) => write!(
+                f,
+                "{} traces are read-only; write a .dtrz corpus instead",
+                format.name()
+            ),
         }
     }
 }
@@ -394,7 +410,7 @@ mod tests {
         let buf = b"NOPE0000".to_vec();
         let mut rd = read_binary(&buf[..]);
         match rd.next() {
-            Some(Err(TraceIoError::BadMagic(m))) => assert_eq!(&m, b"NOPE"),
+            Some(Err(TraceIoError::BadMagic { found, .. })) => assert_eq!(&found, b"NOPE"),
             other => panic!("expected BadMagic, got {other:?}"),
         }
         assert!(rd.next().is_none(), "reader fuses after error");

@@ -437,7 +437,7 @@ mod tests {
         let path = write_temp(b"NOPE0000");
         assert!(matches!(
             MmapTraceSource::open(&path),
-            Err(TraceIoError::BadMagic(m)) if &m == b"NOPE"
+            Err(TraceIoError::BadMagic { found, .. }) if &found == b"NOPE"
         ));
         std::fs::remove_file(&path).unwrap();
     }

@@ -340,7 +340,7 @@ mod tests {
         let mut source = read_binary(&encoded[..]);
         assert!(matches!(
             source.read_chunk_owned(Vec::new(), 16),
-            Err(TraceIoError::BadMagic(_))
+            Err(TraceIoError::BadMagic { .. })
         ));
     }
 
@@ -378,7 +378,7 @@ mod tests {
         let mut buf = Vec::new();
         assert!(matches!(
             source.read_chunk(&mut buf, 16),
-            Err(TraceIoError::BadMagic(_))
+            Err(TraceIoError::BadMagic { .. })
         ));
         // Fused after the error.
         assert_eq!(source.read_chunk(&mut buf, 16).unwrap(), 0);

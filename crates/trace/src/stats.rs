@@ -8,6 +8,8 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use crate::io::TraceIoError;
+use crate::source::TraceSource;
 use crate::types::{AccessKind, MemRef};
 
 /// A set of small non-negative ids, built for the per-reference observe
@@ -140,6 +142,24 @@ impl TraceStats {
             stats.observe(&r);
         }
         stats
+    }
+
+    /// Accumulates statistics from every reference of a chunked source,
+    /// one chunk at a time, so a file of any size streams in constant
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first decode error from the source.
+    pub fn from_source(mut source: impl TraceSource) -> Result<Self, TraceIoError> {
+        let mut stats = Self::new();
+        let mut chunk = Vec::new();
+        while source.read_chunk(&mut chunk, 65_536)? > 0 {
+            for r in &chunk {
+                stats.observe(r);
+            }
+        }
+        Ok(stats)
     }
 
     /// Records one reference.
@@ -307,6 +327,17 @@ mod tests {
         assert_eq!(stats.instructions(), 1);
         assert_eq!(stats.data_reads(), 2);
         assert_eq!(stats.data_writes(), 1);
+    }
+
+    #[test]
+    fn from_source_matches_from_refs() {
+        let refs: Vec<MemRef> = crate::synth::PaperTrace::Pops
+            .workload()
+            .take(150_000)
+            .collect();
+        let streamed =
+            TraceStats::from_source(crate::source::IterSource::new(refs.iter().copied())).unwrap();
+        assert_eq!(streamed, TraceStats::from_refs(refs));
     }
 
     #[test]

@@ -555,6 +555,9 @@ fn the_oracle_catches_a_protocol_that_forgets_invalidations() {
     })
     .run(&mut broken, refs.clone())
     .expect_err("the oracle must reject the stale read");
+    let Error::Sim(err) = err else {
+        panic!("expected an oracle violation, got {err}");
+    };
     assert_eq!(err.ref_index, 3);
     assert!(matches!(err.violation, OracleViolation::StaleRead { .. }));
 
