@@ -154,13 +154,11 @@ fn bench_oracle_overhead(c: &mut Criterion) {
 
 /// The tentpole comparison: the full headline matrix (3 traces × 4
 /// schemes at 200k refs/trace) under each execution path. `serial`
-/// regenerates and re-simulates per scheme; `single_pass` streams each
-/// trace once through all schemes; `sharded` additionally partitions by
-/// block address across workers; `pipelined` is the sharded placement
-/// with trace decode overlapped on a dedicated producer thread, and
-/// `pipelined_1` isolates the overlap itself (one step worker, so the
-/// only difference from `single_pass` is where decode runs). Throughput
-/// is engine steps per second (references × schemes).
+/// (the `run_serial` oracle) re-simulates per scheme; `single_pass`
+/// (one worker) streams each trace once through all schemes; `sharded`
+/// (one worker per core) additionally partitions by block address while
+/// the calling thread generates and routes. Throughput is engine steps
+/// per second (references × schemes).
 fn bench_execution_modes(c: &mut Criterion) {
     const MATRIX_REFS: usize = 200_000;
     let exp = dirsim::paper::headline_experiment(MATRIX_REFS);
@@ -171,14 +169,10 @@ fn bench_execution_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("throughput/full_matrix_200k");
     group.sample_size(10);
     group.throughput(Throughput::Elements(steps));
-    for (label, mode) in [
-        ("serial", ExecutionMode::Serial),
-        ("single_pass", ExecutionMode::SinglePass),
-        ("sharded", ExecutionMode::Sharded { workers }),
-        ("pipelined_1", ExecutionMode::Pipelined { workers: 1 }),
-        ("pipelined", ExecutionMode::Pipelined { workers }),
-    ] {
-        group.bench_function(label, |b| b.iter(|| exp.run_with(mode).unwrap()));
+    group.bench_function("serial", |b| b.iter(|| exp.run_serial().unwrap()));
+    for (label, workers) in [("single_pass", 1), ("sharded", workers)] {
+        let exp = exp.clone().workers(workers);
+        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
     }
     group.finish();
 }
@@ -203,14 +197,10 @@ fn bench_execution_modes_finite(c: &mut Criterion) {
     let mut group = c.benchmark_group("throughput/full_matrix_finite_200k");
     group.sample_size(10);
     group.throughput(Throughput::Elements(steps));
-    for (label, mode) in [
-        ("serial", ExecutionMode::Serial),
-        ("single_pass", ExecutionMode::SinglePass),
-        ("sharded", ExecutionMode::Sharded { workers }),
-        ("pipelined_1", ExecutionMode::Pipelined { workers: 1 }),
-        ("pipelined", ExecutionMode::Pipelined { workers }),
-    ] {
-        group.bench_function(label, |b| b.iter(|| exp.run_with(mode).unwrap()));
+    group.bench_function("serial", |b| b.iter(|| exp.run_serial().unwrap()));
+    for (label, workers) in [("single_pass", 1), ("sharded", workers)] {
+        let exp = exp.clone().workers(workers);
+        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
     }
     group.finish();
 }

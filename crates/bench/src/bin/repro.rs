@@ -100,9 +100,13 @@ fn main() -> ExitCode {
         exp.progress(Arc::clone(&meter))
     };
 
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let started = Instant::now();
     eprintln!("simulating headline experiment ({refs} refs/trace)...");
-    let headline = match instrument(paper::headline_experiment(refs)).run_parallel() {
+    let headline = match instrument(paper::headline_experiment(refs))
+        .workers(workers)
+        .run()
+    {
         Ok(r) => r,
         Err(e) => {
             dirsim_bench::report_error("repro", &e);
@@ -110,7 +114,10 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("simulating extended experiment...");
-    let extended = match instrument(paper::extended_experiment(refs)).run_parallel() {
+    let extended = match instrument(paper::extended_experiment(refs))
+        .workers(workers)
+        .run()
+    {
         Ok(r) => r,
         Err(e) => {
             dirsim_bench::report_error("repro", &e);

@@ -1,6 +1,7 @@
 //! CI throughput smoke test: runs the paper's extended scheme matrix
-//! through each execution path and fails if the single-pass engine is
-//! slower than the legacy serial path — the engine's per-reference work
+//! through the serial reference oracle and the engine at one and at all
+//! workers, and fails if the single-pass engine is slower than the
+//! serial one-pass-per-scheme oracle — the engine's per-reference work
 //! is identical, so a slowdown means a structural regression (an extra
 //! pass over the trace, a per-reference allocation), never tuning drift.
 //!
@@ -10,12 +11,6 @@
 //! gate, so the finite-cache engine path is held to the same bar the
 //! infinite path has been since it was parallelised.
 //!
-//! A second paired gate covers the staged pipeline's overlapped decode:
-//! `pipelined` (one step worker plus a decode producer thread) must not
-//! lose to `single-pass` (the same placement with decode inline) — the
-//! stepping work is identical, so losing means the handshake itself
-//! regressed, not the machine.
-//!
 //! A third, decode-bound round exercises corpus ingestion: a generated
 //! DTR1 file (`--decode-refs`, default 10^7 references) is drained
 //! through the buffered reader and through the mmap-backed zero-copy
@@ -24,30 +19,31 @@
 //! their ratio) so `bench_gate` ratchets the decode path alongside the
 //! engine; the round only hard-fails when mmap decode falls below 0.8×
 //! buffered — a structural loss, since the mmap path does strictly less
-//! work per record. One instrumented pipelined simulation per source
-//! then records `decode_stall_seconds`, so the exported metrics show the
-//! overlap the faster decode buys.
+//! work per record. One instrumented two-worker simulation per source
+//! then records `decode_stall_seconds`, so the exported metrics show how
+//! long the shard workers waited on decode.
 //!
 //! Usage: `throughput_smoke [refs_per_trace] [--metrics-json <path>]
 //! [--bench-json <path>] [--decode-refs N]` (default 100 000 references
 //! per trace)
 //!
-//! Prints one row per mode with wall time, engine steps per second
-//! (references × schemes), and speedup over serial. The sharded rows are
+//! Prints one row per mode (`serial`, `single-pass` = one worker,
+//! `sharded` = one worker per core) with wall time, engine steps per
+//! second (references × schemes), and speedup over serial. The sharded rows are
 //! informational: their speedup depends on the core count of the machine,
 //! so they warn rather than fail when they lose to single-pass.
 //!
 //! `--metrics-json` records the measured timings (`smoke_best_seconds`,
-//! `steps_per_sec` per `{cache, mode}`, `smoke_best_ratio` and
-//! `smoke_pipelined_ratio` per `{cache}`) as JSON lines after the gate's
-//! measurements complete, so exporting never perturbs the timing; it then
-//! runs one instrumented pipelined pass per cache model so the pipeline
-//! metrics (`decode_stall_seconds`, `step_stall_seconds`,
+//! `steps_per_sec` per `{cache, mode}`, `smoke_best_ratio` per `{cache}`)
+//! as JSON lines after the gate's measurements complete, so exporting
+//! never perturbs the timing; it then runs one instrumented two-worker
+//! pass per cache model so the sharded placement's pipeline metrics
+//! (`decode_stall_seconds`, `step_stall_seconds`,
 //! `pipeline_queue_depth`, `pipeline_occupancy`) land in the same file
 //! for schema validation. `--bench-json` additionally writes a one-object
 //! perf-trajectory file (`BENCH_throughput.json` in CI) whose `metrics`
 //! map holds one steps/sec entry per cache-model × mode pair plus the
-//! paired `{cache}_pipelined_vs_inline_ratio`.
+//! paired `{cache}_best_ratio`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -55,7 +51,7 @@ use std::time::Instant;
 
 use dirsim::obs::{Json, MetricsRegistry, Recorder, RunManifest};
 use dirsim::prelude::Scheme;
-use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, ExperimentResults, SimConfig};
+use dirsim::{BroadcastSimulator, Experiment, ExperimentResults, SimConfig};
 use dirsim_mem::CacheGeometry;
 use dirsim_trace::io::{read_binary, write_binary};
 use dirsim_trace::{BorrowedChunkSource, MmapTraceSource, Scenario, TraceSource};
@@ -80,7 +76,7 @@ fn calibrate_refs(mut refs: usize) -> Result<usize, dirsim::Error> {
     for _ in 0..MAX_CALIBRATION_DOUBLINGS {
         let exp = dirsim::paper::extended_experiment(refs);
         let start = Instant::now();
-        exp.run_with(ExecutionMode::SinglePass)?;
+        exp.run()?;
         if start.elapsed().as_secs_f64() >= MIN_SECS {
             break;
         }
@@ -101,72 +97,69 @@ const ROUNDS: usize = 5;
 /// the run is not pure eviction churn.
 const FINITE_GEOMETRY: CacheGeometry = CacheGeometry { sets: 64, ways: 4 };
 
-const MODES: usize = 4;
+const MODES: usize = 3;
 
-/// Mode order: serial (index 0) and single-pass (index 1) form the PR 2
-/// pair; single-pass (inline decode) and pipelined (index 3, overlapped
-/// decode on one step worker) form the overlap pair.
-const MODE_LABELS: [&str; MODES] = ["serial", "single-pass", "sharded", "pipelined"];
-
-fn modes(workers: usize) -> [ExecutionMode; MODES] {
-    [
-        ExecutionMode::Serial,
-        ExecutionMode::SinglePass,
-        ExecutionMode::Sharded { workers },
-        // One step worker: isolates the decode overlap itself, instead of
-        // mixing it with sharding speedups or core-count noise.
-        ExecutionMode::Pipelined { workers: 1 },
-    ]
-}
+/// Mode order: serial (index 0, the `run_serial` oracle) and single-pass
+/// (index 1, one worker) form the gated pair; sharded (index 2, one
+/// worker per core) is informational.
+const MODE_LABELS: [&str; MODES] = ["serial", "single-pass", "sharded"];
 
 fn steps_of(results: &ExperimentResults) -> u64 {
     results.per_scheme.iter().map(|s| s.combined.refs).sum()
 }
 
-fn timed(exp: &Experiment, mode: ExecutionMode) -> Result<(f64, u64), dirsim::Error> {
+/// Runs mode `mode` (an index into [`MODE_LABELS`]) once.
+fn run_mode(
+    exp: &Experiment,
+    mode: usize,
+    workers: usize,
+) -> Result<ExperimentResults, dirsim::Error> {
+    match mode {
+        0 => exp.run_serial(),
+        1 => exp.clone().workers(1).run(),
+        _ => exp.clone().workers(workers).run(),
+    }
+}
+
+fn timed(exp: &Experiment, mode: usize, workers: usize) -> Result<(f64, u64), dirsim::Error> {
     let start = Instant::now();
-    let results = exp.run_with(mode)?;
+    let results = run_mode(exp, mode, workers)?;
     // No clamp: `calibrate_refs` scaled the workload past MIN_SECS, so
     // the elapsed time is genuinely non-zero.
     Ok((start.elapsed().as_secs_f64(), steps_of(&results)))
 }
 
 /// One cache model's paired measurement: best seconds and steps per mode,
-/// plus the best per-round ratios the gates judge (serial / single-pass,
-/// and single-pass / pipelined).
+/// plus the best per-round serial / single-pass ratio the gate judges.
 struct Round {
     best: [f64; MODES],
     steps: [u64; MODES],
     best_ratio: f64,
-    best_pipelined_ratio: f64,
 }
 
 fn measure(exp: &Experiment, workers: usize) -> Result<Round, dirsim::Error> {
     // Warm-up pass: first-touch page faults and lazy allocations land
     // here instead of skewing round one.
-    exp.run_with(ExecutionMode::SinglePass)?;
+    exp.run()?;
     let mut best = [f64::INFINITY; MODES];
     let mut steps = [0u64; MODES];
     let mut best_ratio = 0.0f64;
-    let mut best_pipelined_ratio = 0.0f64;
     for _ in 0..ROUNDS {
         let mut round = [f64::INFINITY; MODES];
-        for (i, &mode) in modes(workers).iter().enumerate() {
-            let (secs, n) = timed(exp, mode)?;
+        for i in 0..MODES {
+            let (secs, n) = timed(exp, i, workers)?;
             round[i] = secs;
             best[i] = best[i].min(secs);
             steps[i] = n;
         }
         // Calibration keeps every measurement above MIN_SECS, so the
-        // ratios are finite.
+        // ratio is finite.
         best_ratio = best_ratio.max(round[0] / round[1]);
-        best_pipelined_ratio = best_pipelined_ratio.max(round[1] / round[3]);
     }
     Ok(Round {
         best,
         steps,
         best_ratio,
-        best_pipelined_ratio,
     })
 }
 
@@ -188,10 +181,8 @@ fn report(label: &str, round: &Round) -> [f64; MODES] {
     rates
 }
 
-/// Applies the gates to one round: single-pass must reach 90% of serial
-/// throughput in at least one paired round, and pipelined must reach 90%
-/// of single-pass throughput in at least one paired round; sharded only
-/// warns.
+/// Applies the gate to one round: single-pass must reach 90% of serial
+/// throughput in at least one paired round; sharded only warns.
 fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> bool {
     // 10% guard band on the best paired round: a real regression slows
     // every round well past this; noise does not slow all five.
@@ -203,14 +194,6 @@ fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> boo
         );
         return false;
     }
-    if round.best_pipelined_ratio < 0.90 {
-        eprintln!(
-            "FAIL[{label}]: pipelined decode never reached inline throughput \
-             (best round {:.2}x single-pass)",
-            round.best_pipelined_ratio
-        );
-        return false;
-    }
     let (single_pass, sharded) = (rates[1], rates[2]);
     if workers > 1 && sharded < single_pass {
         eprintln!(
@@ -219,9 +202,8 @@ fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> boo
         );
     }
     println!(
-        "OK[{label}]: single-pass best round is {:.2}x serial, \
-         pipelined best round is {:.2}x single-pass",
-        round.best_ratio, round.best_pipelined_ratio
+        "OK[{label}]: single-pass best round is {:.2}x serial",
+        round.best_ratio
     );
     true
 }
@@ -242,9 +224,9 @@ struct DecodeRound {
     /// Best wall seconds per path across the paired rounds.
     buffered_best: f64,
     mmap_best: f64,
-    /// Total `decode_stall_seconds` from one instrumented pipelined
+    /// Total `decode_stall_seconds` from one instrumented two-worker
     /// simulation per source (evidence, not gated: the faster decode
-    /// should leave the step side waiting less).
+    /// should leave the shard workers waiting less).
     stall_buffered: f64,
     stall_mmap: f64,
 }
@@ -292,16 +274,14 @@ fn drain_mmap(path: &std::path::Path) -> Result<(f64, u64), Box<dyn std::error::
     Ok((start.elapsed().as_secs_f64().max(MIN_SECS), n))
 }
 
-/// One instrumented pipelined pass over the corpus; returns the total
-/// `decode_stall_seconds` the step side accumulated.
-fn pipelined_stall<S>(source: S) -> Result<f64, dirsim::Error>
-where
-    S: TraceSource + Send,
-{
+/// One instrumented two-worker pass over the corpus; returns the total
+/// `decode_stall_seconds` the shard workers accumulated.
+fn decode_stall<S: TraceSource>(source: S) -> Result<f64, dirsim::Error> {
     let registry = Arc::new(MetricsRegistry::new());
     BroadcastSimulator::paper()
+        .workers(2)
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_pipelined(&[Scheme::Wti], 4, source)?;
+        .run(&[Scheme::Wti], 4, source)?;
     Ok(registry
         .histogram_summary("decode_stall_seconds", &[])
         .map(|s| s.sum)
@@ -309,7 +289,7 @@ where
 }
 
 /// Generates the decode corpus, runs the paired buffered/mmap rounds,
-/// and takes the pipelined stall evidence.
+/// and takes the decode-stall evidence.
 fn measure_decode(decode_refs: usize) -> Result<DecodeRound, Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join(format!("dirsim-smoke-decode-{}.dtr", std::process::id()));
     let workload = Scenario::named("pops").expect("bundled scenario");
@@ -338,10 +318,10 @@ fn measure_decode(decode_refs: usize) -> Result<DecodeRound, Box<dyn std::error:
         assert_eq!(n, round.refs, "mmap decode dropped records");
         round.mmap_best = round.mmap_best.min(secs);
     }
-    round.stall_buffered = pipelined_stall(read_binary(std::io::BufReader::new(
+    round.stall_buffered = decode_stall(read_binary(std::io::BufReader::new(
         std::fs::File::open(&path)?,
     )))?;
-    round.stall_mmap = pipelined_stall(MmapTraceSource::open(&path).map_err(dirsim::Error::from)?)?;
+    round.stall_mmap = decode_stall(MmapTraceSource::open(&path).map_err(dirsim::Error::from)?)?;
     std::fs::remove_file(&path).ok();
     Ok(round)
 }
@@ -364,7 +344,7 @@ fn report_decode(round: &DecodeRound) -> bool {
         round.mmap_rate()
     );
     println!(
-        "[decode] pipelined decode_stall_seconds: buffered {:.4}, mmap {:.4}",
+        "[decode] two-worker decode_stall_seconds: buffered {:.4}, mmap {:.4}",
         round.stall_buffered, round.stall_mmap
     );
     let ratio = round.ratio();
@@ -477,24 +457,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 );
             }
             registry.gauge("smoke_best_ratio", &[("cache", *cache)], round.best_ratio);
-            registry.gauge(
-                "smoke_pipelined_ratio",
-                &[("cache", *cache)],
-                round.best_pipelined_ratio,
-            );
-            // The overlap pair under its own mode labels: `inline` is the
-            // single-pass placement (same stepping, decode on the calling
-            // thread), `pipelined` the overlapped one.
-            for (mode, idx) in [("inline", 1usize), ("pipelined", 3usize)] {
-                registry.gauge(
-                    "smoke_overlap_best_seconds",
-                    &[("cache", *cache), ("mode", mode)],
-                    round.best[idx],
-                );
-            }
         }
         // The corpus decode round: paired rates per source, plus the
-        // stall evidence from the instrumented pipelined passes.
+        // stall evidence from the instrumented two-worker passes.
         for (source, rate, stall) in [
             ("buffered", decode.buffered_rate(), decode.stall_buffered),
             ("mmap", decode.mmap_rate(), decode.stall_mmap),
@@ -506,16 +471,17 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 stall,
             );
         }
-        // One instrumented pipelined pass per cache model (after all the
-        // timing), so the pipeline-overlap metrics land in the exported
-        // file and CI schema-validates their names and shapes.
+        // One instrumented two-worker pass per cache model (after all
+        // the timing), so the sharded placement's pipeline metrics land
+        // in the exported file and CI schema-validates their names and
+        // shapes. Two workers even on one core: the metrics exist only
+        // on the sharded placement.
         for (_, exp) in &caches {
             (*exp)
                 .clone()
+                .workers(2)
                 .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-                .run_with(ExecutionMode::Pipelined {
-                    workers: workers.min(2),
-                })?;
+                .run()?;
         }
         let manifest = RunManifest::new("throughput_smoke")
             .schemes(dirsim::paper::extended_schemes().iter().map(|s| s.name()))
@@ -547,10 +513,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             metrics.push((
                 format!("{cache}_best_ratio"),
                 dirsim::obs::json::float(round.best_ratio),
-            ));
-            metrics.push((
-                format!("{cache}_pipelined_vs_inline_ratio"),
-                dirsim::obs::json::float(round.best_pipelined_ratio),
             ));
         }
         metrics.push((

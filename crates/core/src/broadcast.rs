@@ -9,9 +9,12 @@
 //! trace length, and an N-scheme matrix pays for one trace generation
 //! instead of N.
 //!
-//! All execution paths are placements of the one staged pipeline in
-//! `crate::pipeline` (`decode → route → step → merge`); this type only
-//! holds configuration and picks a placement.
+//! Every run goes through the one staged pipeline in `crate::pipeline`
+//! (`decode → route → step → merge`); this type only holds the
+//! configuration. The placement follows from two facts: the source kind
+//! picks the decode feed (zero-copy for mmap-backed files, one recycled
+//! buffer otherwise), and [`workers`](BroadcastSimulator::workers) picks
+//! the step side (in-thread for one, sharded for more).
 //!
 //! ## Sharding
 //!
@@ -33,15 +36,9 @@
 //! sum the merged totals are bit-identical to a serial run under either
 //! key.
 //!
-//! ## Overlapped decode
-//!
-//! [`run_pipelined`](BroadcastSimulator::run_pipelined) additionally
-//! moves the decode stage onto a dedicated producer thread, so chunk
-//! *N+1* is decoded while chunk *N* is stepped. Chunk buffers are
-//! recycled through a bounded two-channel handshake (see
-//! `crate::pipeline`), so the overlap allocates nothing in steady state
-//! and — because only *work* moves threads, never *order* — results stay
-//! bit-identical to the non-overlapped paths.
+//! Decode always runs on the calling thread. With `workers > 1` it
+//! overlaps stepping anyway: the calling thread decodes and routes the
+//! next chunk while the shard workers step the previous one.
 //!
 //! ```
 //! use dirsim::broadcast::BroadcastSimulator;
@@ -72,6 +69,7 @@ use dirsim_trace::MemRef;
 
 use crate::engine::{SimConfig, SimConfigError, SimResult};
 use crate::error::Error;
+use crate::kernel::{self, KernelPolicy};
 use crate::pipeline;
 
 /// Default number of references decoded per chunk.
@@ -151,10 +149,9 @@ impl BroadcastSimulator {
     /// * `scheme_refs/scheme_transactions{scheme}` and
     ///   `scheme_ops{scheme,op}` — per-scheme result totals;
     /// * `shard_refs/shard_ops{shard}` — per-shard totals (sharded runs);
-    /// * pipeline-overlap metrics on the
-    ///   [`run_pipelined`](Self::run_pipelined) path:
+    /// * decode/step overlap metrics on sharded runs:
     ///   `decode_stall_seconds`, `step_stall_seconds`,
-    ///   `pipeline_queue_depth{stage[,shard]}`, and the
+    ///   `pipeline_queue_depth{shard,stage}`, and the
     ///   `pipeline_occupancy` gauge.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
@@ -168,7 +165,7 @@ impl BroadcastSimulator {
 
     /// Validates everything shared by all run paths. Kept out of the
     /// builders so misconfiguration is a typed error, not a panic.
-    fn validate_run(&self, schemes: &[Scheme]) -> Result<(), Error> {
+    fn validate_run(&self, schemes: &[Scheme], caches: u32) -> Result<(), Error> {
         assert!(!schemes.is_empty(), "broadcast run needs schemes");
         // Sharded finite-cache runs derive the set mask from the
         // geometry, and every finite run builds `FiniteCache`s from it,
@@ -181,6 +178,12 @@ impl BroadcastSimulator {
         if self.workers == 0 {
             return Err(Error::Config(SimConfigError::ZeroWorkers));
         }
+        if self.config.kernel_eligible()
+            && self.config.kernels == KernelPolicy::Required
+            && !kernel::fits(caches)
+        {
+            return Err(Error::Config(SimConfigError::KernelCap { caches }));
+        }
         Ok(())
     }
 
@@ -191,7 +194,8 @@ impl BroadcastSimulator {
     ///
     /// Returns a typed [`Error`] for trace decode failures, oracle
     /// violations, invariant violations, or an unusable configuration
-    /// (finite-cache geometry, zero chunk size, zero workers). Under
+    /// (finite-cache geometry, zero chunk size, zero workers,
+    /// [`KernelPolicy::Required`] past the kernel cap). Under
     /// sharded execution, `ref_index` in an error is relative to the
     /// failing shard's subsequence, not the global stream.
     ///
@@ -233,8 +237,8 @@ impl BroadcastSimulator {
         S: TraceSource,
         F: FnMut(&MemRef),
     {
-        self.validate_run(schemes)?;
-        pipeline::run_inline(
+        self.validate_run(schemes, caches)?;
+        pipeline::run(
             self.config,
             self.chunk,
             self.workers,
@@ -242,69 +246,6 @@ impl BroadcastSimulator {
             schemes,
             caches,
             &mut source,
-            &mut observe,
-        )
-    }
-
-    /// Like [`run`](Self::run), but decodes the source on a dedicated
-    /// producer thread, overlapped with stepping (double-buffered,
-    /// recycled chunk buffers over a bounded channel). Results are
-    /// bit-identical to [`run`](Self::run): only the decode *work* moves
-    /// to another thread, never the chunk *order*.
-    ///
-    /// Requires `S: Send` because the source itself moves to the producer
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
-    pub fn run_pipelined<S>(
-        &self,
-        schemes: &[Scheme],
-        caches: u32,
-        source: S,
-    ) -> Result<Vec<SimResult>, Error>
-    where
-        S: TraceSource + Send,
-    {
-        self.run_observed_pipelined(schemes, caches, source, |_| {})
-    }
-
-    /// Like [`run_pipelined`](Self::run_pipelined) with an observer hook.
-    /// Even with decode overlapped, `observe` still runs on the calling
-    /// thread in stream order.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
-    pub fn run_observed_pipelined<S, F>(
-        &self,
-        schemes: &[Scheme],
-        caches: u32,
-        source: S,
-        mut observe: F,
-    ) -> Result<Vec<SimResult>, Error>
-    where
-        S: TraceSource + Send,
-        F: FnMut(&MemRef),
-    {
-        self.validate_run(schemes)?;
-        pipeline::run_overlapped(
-            self.config,
-            self.chunk,
-            self.workers,
-            &*self.recorder,
-            schemes,
-            caches,
-            source,
             &mut observe,
         )
     }
@@ -340,35 +281,61 @@ mod tests {
             .collect()
     }
 
+    /// Runs `schemes` over `refs` from an owned source (`IterSource`) and
+    /// a borrowed one (an mmap'd DTR1 file, the zero-copy feed) at 1, 3
+    /// and 8 workers, checks every run against the serial per-scheme
+    /// baseline, and returns that baseline.
+    fn assert_matches_serial(
+        config: SimConfig,
+        schemes: &[Scheme],
+        refs: &[MemRef],
+        tag: &str,
+    ) -> Vec<SimResult> {
+        let serial = serial_baseline(config, schemes, refs);
+        let path =
+            std::env::temp_dir().join(format!("dirsim-broadcast-{tag}-{}.dtr", std::process::id()));
+        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        dirsim_trace::io::write_binary(&mut file, refs.iter().copied()).unwrap();
+        std::io::Write::flush(&mut file).unwrap();
+        drop(file);
+        for workers in [1, 3, 8] {
+            let engine = BroadcastSimulator::new(config)
+                .workers(workers)
+                .chunk_size(512);
+            let owned = engine
+                .run(schemes, 4, IterSource::new(refs.iter().copied()))
+                .unwrap();
+            assert_eq!(serial, owned, "owned source, workers = {workers}");
+            let borrowed = engine
+                .run(
+                    schemes,
+                    4,
+                    dirsim_trace::MmapTraceSource::open(&path).unwrap(),
+                )
+                .unwrap();
+            assert_eq!(serial, borrowed, "borrowed source, workers = {workers}");
+        }
+        std::fs::remove_file(&path).ok();
+        serial
+    }
+
     #[test]
     fn single_pass_matches_serial() {
-        let refs = trace();
-        let schemes = Scheme::paper_lineup();
-        let config = SimConfig::default();
-        let serial = serial_baseline(config, &schemes, &refs);
-        let broadcast = BroadcastSimulator::new(config)
-            .run(&schemes, 4, IterSource::new(refs.iter().copied()))
-            .unwrap();
-        assert_eq!(serial, broadcast);
+        assert_matches_serial(
+            SimConfig::default(),
+            &Scheme::paper_lineup(),
+            &trace(),
+            "default",
+        );
     }
 
     #[test]
     fn sharded_matches_serial_with_oracle() {
-        let refs = trace();
-        let schemes = Scheme::paper_lineup();
         let config = SimConfig {
             check_oracle: true,
             ..SimConfig::default()
         };
-        let serial = serial_baseline(config, &schemes, &refs);
-        for workers in [2, 3, 7] {
-            let sharded = BroadcastSimulator::new(config)
-                .workers(workers)
-                .chunk_size(512)
-                .run(&schemes, 4, IterSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(serial, sharded, "workers = {workers}");
-        }
+        assert_matches_serial(config, &Scheme::paper_lineup(), &trace(), "oracle");
     }
 
     #[test]
@@ -381,17 +348,7 @@ mod tests {
             check_oracle: true,
             ..SimConfig::default()
         };
-        let refs = trace();
-        let schemes = Scheme::paper_lineup();
-        let serial = serial_baseline(config, &schemes, &refs);
-        for workers in [2, 3, 8] {
-            let sharded = BroadcastSimulator::new(config)
-                .workers(workers)
-                .chunk_size(512)
-                .run(&schemes, 4, IterSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(serial, sharded, "workers = {workers}");
-        }
+        let serial = assert_matches_serial(config, &Scheme::paper_lineup(), &trace(), "finite");
         assert!(
             serial[0].capacity_evictions > 0,
             "geometry small enough to evict"
@@ -422,22 +379,18 @@ mod tests {
     fn zero_chunk_size_is_a_typed_error() {
         // Regression: `chunk_size(0)` used to panic in the builder; it is
         // now a typed configuration error at run time, on every path.
-        let engine = BroadcastSimulator::paper().chunk_size(0);
-        let err = engine
-            .run(&[Scheme::Wti], 4, IterSource::new(trace().into_iter()))
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::Config(SimConfigError::ZeroChunk)),
-            "{err}"
-        );
-        assert!(err.to_string().contains("chunk"), "{err}");
-        let err = engine
-            .run_pipelined(&[Scheme::Wti], 4, IterSource::new(trace().into_iter()))
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::Config(SimConfigError::ZeroChunk)),
-            "{err}"
-        );
+        for workers in [1, 3] {
+            let err = BroadcastSimulator::paper()
+                .chunk_size(0)
+                .workers(workers)
+                .run(&[Scheme::Wti], 4, IterSource::new(trace().into_iter()))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Config(SimConfigError::ZeroChunk)),
+                "workers = {workers}: {err}"
+            );
+            assert!(err.to_string().contains("chunk"), "{err}");
+        }
     }
 
     #[test]
@@ -453,20 +406,49 @@ mod tests {
     }
 
     #[test]
+    fn required_kernels_past_the_cap_is_a_typed_error() {
+        // Regression: `KernelPolicy::Required` above the kernel cap used
+        // to panic while building the lane bank — inside a shard worker
+        // on the sharded placement, resurfacing as "shard worker
+        // panicked". It is now rejected before any lane or thread exists.
+        let config = SimConfig {
+            kernels: KernelPolicy::Required,
+            check_oracle: false,
+            check_invariants: false,
+            ..SimConfig::default()
+        };
+        let caches = kernel::MAX_KERNEL_CACHES + 1;
+        for workers in [1, 3] {
+            let engine = BroadcastSimulator::new(config).workers(workers);
+            let err = engine
+                .run(&[Scheme::Wti], caches, IterSource::new(trace().into_iter()))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Config(SimConfigError::KernelCap { caches: c }) if c == caches),
+                "workers = {workers}: {err}"
+            );
+            assert!(err.to_string().contains("Required"), "{err}");
+            // At the cap the same policy runs.
+            engine
+                .run(
+                    &[Scheme::Wti],
+                    kernel::MAX_KERNEL_CACHES,
+                    IterSource::new(trace().into_iter()),
+                )
+                .unwrap();
+        }
+    }
+
+    #[test]
     fn single_pass_supports_finite_caches() {
         let config = SimConfig {
             geometry: Some(CacheGeometry { sets: 16, ways: 2 }),
             check_oracle: true,
             ..SimConfig::default()
         };
-        let refs = trace();
-        let schemes = [Scheme::Dragon, Scheme::Wti];
-        let serial = serial_baseline(config, &schemes, &refs);
-        let broadcast = BroadcastSimulator::new(config)
-            .run(&schemes, 4, IterSource::new(refs.iter().copied()))
-            .unwrap();
-        assert_eq!(serial, broadcast);
-        assert!(broadcast[0].capacity_evictions > 0);
+        let serial =
+            assert_matches_serial(config, &[Scheme::Dragon, Scheme::Wti], &trace(), "finite16");
+        assert!(serial[0].capacity_evictions > 0);
     }
 
     #[test]
@@ -475,6 +457,7 @@ mod tests {
         let mut seen = Vec::new();
         BroadcastSimulator::paper()
             .workers(2)
+            .chunk_size(256)
             .run_observed(
                 &[Scheme::Wti],
                 4,
@@ -487,18 +470,21 @@ mod tests {
 
     #[test]
     fn trace_errors_surface_as_typed_errors() {
-        let encoded = b"NOPE0000".to_vec();
-        let err = BroadcastSimulator::paper()
-            .run(
-                &[Scheme::Wti],
-                2,
-                dirsim_trace::io::read_binary(&encoded[..]),
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::TraceIo(_)));
-        // The chain bottoms out at the decode error.
         use std::error::Error as _;
-        assert!(err.source().unwrap().to_string().contains("magic"));
+        let encoded = b"NOPE0000".to_vec();
+        for workers in [1, 2] {
+            let err = BroadcastSimulator::paper()
+                .workers(workers)
+                .run(
+                    &[Scheme::Wti],
+                    2,
+                    dirsim_trace::io::read_binary(&encoded[..]),
+                )
+                .unwrap_err();
+            assert!(matches!(err, Error::TraceIo(_)), "workers = {workers}");
+            // The chain bottoms out at the decode error.
+            assert!(err.source().unwrap().to_string().contains("magic"));
+        }
     }
 
     #[test]

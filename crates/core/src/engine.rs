@@ -29,7 +29,7 @@ use crate::histogram::FanoutHistogram;
 use crate::invariant;
 use crate::invariant::InvariantViolation;
 use crate::kernel::{self, KernelOverflow, KernelPolicy, LaneKernel};
-use crate::pipeline::step_error;
+use crate::pipeline::step_direct;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +112,13 @@ pub enum SimConfigError {
     ZeroChunk,
     /// The engine was asked to run with zero shard workers.
     ZeroWorkers,
+    /// [`KernelPolicy::Required`] was set for a system no table kernel
+    /// covers (zero caches, or more than
+    /// [`MAX_KERNEL_CACHES`](crate::kernel::MAX_KERNEL_CACHES)).
+    KernelCap {
+        /// The cache count the run asked for.
+        caches: u32,
+    },
 }
 
 impl fmt::Display for SimConfigError {
@@ -127,6 +134,12 @@ impl fmt::Display for SimConfigError {
                     "invalid simulation config: worker count must be positive"
                 )
             }
+            SimConfigError::KernelCap { caches } => write!(
+                f,
+                "invalid simulation config: KernelPolicy::Required, but no table \
+                 kernel covers {caches} caches (the cap is {})",
+                crate::kernel::MAX_KERNEL_CACHES
+            ),
         }
     }
 }
@@ -135,7 +148,9 @@ impl std::error::Error for SimConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimConfigError::Geometry(e) => Some(e),
-            SimConfigError::ZeroChunk | SimConfigError::ZeroWorkers => None,
+            SimConfigError::ZeroChunk
+            | SimConfigError::ZeroWorkers
+            | SimConfigError::KernelCap { .. } => None,
         }
     }
 }
@@ -754,12 +769,7 @@ impl Simulator {
         I: IntoIterator<Item = MemRef>,
     {
         let mut lane = Lane::new(&self.config, protocol.name());
-        for r in refs {
-            let index = lane.next_index();
-            if let Err(failure) = lane.step(&self.config, protocol, r) {
-                return Err(step_error(protocol.name(), index, failure));
-            }
-        }
+        step_direct(&self.config, &mut lane, protocol, refs)?;
         Ok(lane.finish(protocol))
     }
 }

@@ -1,18 +1,17 @@
 //! The experiment harness: a (workloads × schemes) simulation matrix.
 //!
 //! [`Experiment`] drives every configured workload through every configured
-//! scheme and collects per-trace and combined [`SimResult`]s. By default it
-//! runs **single-pass**: each workload is generated once and broadcast
-//! through all schemes in lockstep via
-//! [`BroadcastSimulator`], instead of
-//! regenerating the trace once per scheme. [`ExecutionMode`] selects
-//! between that, the legacy one-pass-per-scheme serial mode, sharded
-//! parallel execution (by block address for infinite caches, by cache
-//! set index for finite geometries), and pipelined execution with trace
-//! decode overlapped on a producer thread — all of which are placements
-//! of the same staged `decode → route → step → merge` pipeline and
-//! produce bit-identical results. The paper-specific experiment presets
-//! live in [`crate::paper`].
+//! scheme and collects per-trace and combined [`SimResult`]s. Each
+//! workload is generated once and broadcast through all schemes in
+//! lockstep via [`BroadcastSimulator`], instead of regenerating the trace
+//! once per scheme. [`Experiment::workers`] is the one execution knob: one
+//! worker steps every lane on the calling thread (the default); more
+//! shard the stream (by block address for infinite caches, by cache set
+//! index for finite geometries) while the calling thread generates and
+//! routes. Every worker count produces bit-identical results, which
+//! [`Experiment::run_serial`] — the paper's literal one-pass-per-scheme
+//! methodology, kept as the reference oracle — pins in the tests. The
+//! paper-specific experiment presets live in [`crate::paper`].
 
 use std::ops::Index;
 use std::sync::{Arc, Mutex};
@@ -21,7 +20,7 @@ use dirsim_mem::SharingModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
 use dirsim_trace::filter::without_lock_tests;
-use dirsim_trace::source::{IterSource, WithoutLockTests};
+use dirsim_trace::source::{IterSource, TraceSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
 use dirsim_trace::{MemRef, Scenario, TraceStats};
 
@@ -56,37 +55,15 @@ impl From<&Scenario> for NamedWorkload {
     }
 }
 
-/// How an [`Experiment`] executes its matrix.
-///
-/// Every mode produces bit-identical [`ExperimentResults`]; they differ
-/// only in how many passes run over each trace and how work is spread
-/// over threads.
+/// The execution setting [`Experiment::execution`] accepts: a worker
+/// count under its older name. `Pipelined { workers }` means exactly
+/// [`Experiment::workers`]`(workers)`; the variant and the forward are
+/// kept so existing callers compile, and go away together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One full pass over each trace per scheme (the paper's literal
-    /// methodology). Each trace is generated once and held in memory,
-    /// then replayed separately for every scheme.
-    Serial,
-    /// Generate each trace once and broadcast every chunk through all
-    /// schemes in lockstep (the default).
-    SinglePass,
-    /// Single-pass, additionally sharded over `workers` threads under
-    /// the configuration's [`ShardKey`](crate::engine::ShardKey): by
-    /// block address for infinite caches, by cache set index for finite
-    /// geometries. Exact for both.
-    Sharded {
-        /// Number of worker threads.
-        workers: usize,
-    },
-    /// Like [`Sharded`](Self::Sharded) (or [`SinglePass`](Self::SinglePass)
-    /// when `workers == 1`), but with trace decode overlapped on a
-    /// dedicated producer thread: chunk *N+1* is generated/decoded while
-    /// chunk *N* is stepped, through recycled double-buffered chunk
-    /// buffers. Still bit-identical — only decode *work* moves threads,
-    /// never chunk order.
+    /// Run with `workers` step workers (see [`Experiment::workers`]).
     Pipelined {
-        /// Number of step worker threads (not counting the decode
-        /// producer).
+        /// Number of step workers.
         workers: usize,
     },
 }
@@ -119,7 +96,7 @@ pub struct Experiment {
     refs_per_trace: usize,
     sim: SimConfig,
     exclude_lock_tests: bool,
-    mode: ExecutionMode,
+    workers: usize,
     recorder: Arc<dyn Recorder>,
     progress: Option<Arc<Mutex<ProgressMeter>>>,
 }
@@ -132,7 +109,7 @@ impl Default for Experiment {
             refs_per_trace: 100_000,
             sim: SimConfig::default(),
             exclude_lock_tests: false,
-            mode: ExecutionMode::SinglePass,
+            workers: 1,
             recorder: Arc::new(NoopRecorder),
             progress: None,
         }
@@ -200,10 +177,27 @@ impl Experiment {
         self
     }
 
-    /// Sets the execution mode used by [`Self::run`].
-    pub fn execution(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+    /// Sets the number of step workers [`Self::run`] uses (default 1).
+    ///
+    /// One worker steps every lane on the calling thread. More shard the
+    /// stream under the configuration's
+    /// [`ShardKey`](crate::engine::ShardKey) — by block address for
+    /// infinite caches, by cache set index for finite ones — while the
+    /// calling thread generates and routes the next chunk. Results are
+    /// bit-identical for every worker count. Zero is rejected with a
+    /// typed [`SimConfigError::ZeroWorkers`](crate::engine::SimConfigError::ZeroWorkers)
+    /// when the experiment runs.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
+    }
+
+    /// Forwards to [`Self::workers`]: `Pipelined { workers }` sets that
+    /// many workers. Kept so existing callers compile; prefer
+    /// [`Self::workers`].
+    pub fn execution(self, mode: ExecutionMode) -> Self {
+        let ExecutionMode::Pipelined { workers } = mode;
+        self.workers(workers)
     }
 
     /// Sets the metrics [`Recorder`] passed to the underlying engine (see
@@ -277,74 +271,100 @@ impl Experiment {
             .counter("trace_generations", &[("trace", name)], 1);
     }
 
-    /// Runs the full matrix in the configured [`ExecutionMode`]
-    /// (single-pass unless overridden via [`Self::execution`]).
+    /// Runs the full matrix: each workload is generated once and
+    /// broadcast through every scheme on [`Self::workers`] workers.
     ///
     /// # Errors
     ///
     /// Propagates the first [`Error`] — an oracle or invariant violation
-    /// when checking is enabled, or an invalid mode/configuration
-    /// combination.
+    /// when checking is enabled, or an invalid configuration (zero
+    /// workers included).
     ///
     /// # Panics
     ///
     /// Panics if no workloads or no schemes were configured.
     pub fn run(&self) -> Result<ExperimentResults, Error> {
-        self.run_with(self.mode)
-    }
-
-    /// Runs the full matrix pipelined and sharded over all available
-    /// cores: trace decode overlapped on a producer thread, stepping
-    /// sharded across workers. Results are bit-identical to
-    /// [`Self::run`]: the shard key (block address for infinite caches,
-    /// cache set index for finite geometries) preserves each block's
-    /// reference subsequence and all counters merge commutatively. Falls
-    /// back to single-pass execution when only one core is available.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workloads or no schemes were configured.
-    pub fn run_parallel(&self) -> Result<ExperimentResults, Error> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mode = if workers <= 1 {
-            ExecutionMode::SinglePass
-        } else {
-            ExecutionMode::Pipelined { workers }
-        };
-        self.run_with(mode)
-    }
-
-    /// Runs the full matrix in an explicit [`ExecutionMode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workloads or no schemes were configured.
-    pub fn run_with(&self, mode: ExecutionMode) -> Result<ExperimentResults, Error> {
-        assert!(!self.workloads.is_empty(), "experiment needs workloads");
-        assert!(!self.schemes.is_empty(), "experiment needs schemes");
-        match mode {
-            ExecutionMode::Serial => self.run_serial(),
-            ExecutionMode::SinglePass => self.run_broadcast(1, false),
-            ExecutionMode::Sharded { workers } => self.run_broadcast(workers, false),
-            ExecutionMode::Pipelined { workers } => self.run_broadcast(workers, true),
+        self.assert_configured();
+        let broadcaster = BroadcastSimulator::new(self.sim)
+            .workers(self.workers)
+            .recorder(Arc::clone(&self.recorder));
+        let mut trace_stats = Vec::with_capacity(self.workloads.len());
+        let mut per_workload: Vec<Vec<SimResult>> = Vec::with_capacity(self.workloads.len());
+        let mut observed = 0u64;
+        for w in &self.workloads {
+            let mut stats = TraceStats::new();
+            let mut observe = |r: &MemRef| {
+                stats.observe(r);
+                observed += 1;
+                if let Some(p) = &self.progress {
+                    p.lock()
+                        .expect("progress meter poisoned")
+                        .tick(observed, None);
+                }
+            };
+            // Closed systems stream straight out of the generator; open
+            // per-process systems materialise the trace once and derive
+            // the cache bound from that same pass (never a second, dry
+            // generation pass — see `cache_bound`).
+            let results = if self.needs_trace_for_bound(&w.config) {
+                let raw = self.generate_raw(w);
+                let caches = self.cache_bound(&w.config, &raw);
+                self.run_stream(&broadcaster, caches, raw.into_iter(), &mut observe)?
+            } else {
+                let caches = self.cache_bound(&w.config, &[]);
+                self.note_generation(&w.name);
+                let stream = Workload::new(w.config.clone()).take(self.refs_per_trace);
+                self.run_stream(&broadcaster, caches, stream, &mut observe)?
+            };
+            trace_stats.push((w.name.clone(), stats));
+            per_workload.push(results);
         }
+
+        let per_scheme = self
+            .schemes
+            .iter()
+            .enumerate()
+            .map(|(i, &scheme)| {
+                let mut per_trace = Vec::with_capacity(self.workloads.len());
+                let mut combined: Option<SimResult> = None;
+                for (w, results) in self.workloads.iter().zip(per_workload.iter()) {
+                    let result = results[i].clone();
+                    match combined.as_mut() {
+                        Some(c) => c.merge(&result),
+                        None => combined = Some(result.clone()),
+                    }
+                    per_trace.push((w.name.clone(), result));
+                }
+                SchemeResult {
+                    scheme,
+                    per_trace,
+                    combined: combined.expect("at least one workload"),
+                }
+            })
+            .collect();
+
+        Ok(ExperimentResults {
+            trace_stats,
+            per_scheme,
+        })
     }
 
-    /// The legacy path: materialise each trace, then one independent
-    /// pipeline pass per (scheme, workload) cell — the paper's literal
-    /// N-passes methodology, expressed on the same staged pipeline as
-    /// every other mode.
-    fn run_serial(&self) -> Result<ExperimentResults, Error> {
+    /// Runs the full matrix the paper's literal way: each trace is
+    /// materialised once, then replayed in one independent pass per
+    /// (scheme, workload) cell. It ignores [`Self::workers`] and is
+    /// never the fast path — it is the reference oracle [`Self::run`] is
+    /// checked against, and the baseline the throughput harness
+    /// measures the single pass by.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no workloads or no schemes were configured.
+    pub fn run_serial(&self) -> Result<ExperimentResults, Error> {
+        self.assert_configured();
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
         let mut trace_refs: Vec<Vec<MemRef>> = Vec::with_capacity(self.workloads.len());
         let mut trace_caches = Vec::with_capacity(self.workloads.len());
@@ -405,113 +425,31 @@ impl Experiment {
         })
     }
 
-    /// The single-pass path: each workload is generated once, streamed in
-    /// chunks, and broadcast through every scheme (optionally sharded;
-    /// with `overlap`, generation runs on a producer thread overlapped
-    /// against stepping).
-    fn run_broadcast(&self, workers: usize, overlap: bool) -> Result<ExperimentResults, Error> {
-        let broadcaster = BroadcastSimulator::new(self.sim)
-            .workers(workers.max(1))
-            .recorder(Arc::clone(&self.recorder));
-        let mut trace_stats = Vec::with_capacity(self.workloads.len());
-        let mut per_workload: Vec<Vec<SimResult>> = Vec::with_capacity(self.workloads.len());
-        let mut observed = 0u64;
-        for w in &self.workloads {
-            let mut stats = TraceStats::new();
-            let mut observe = |r: &MemRef| {
-                stats.observe(r);
-                observed += 1;
-                if let Some(p) = &self.progress {
-                    p.lock()
-                        .expect("progress meter poisoned")
-                        .tick(observed, None);
-                }
-            };
-            // Closed systems stream straight out of the generator; open
-            // per-process systems materialise the trace once and derive
-            // the cache bound from that same pass (never a second, dry
-            // generation pass — see `cache_bound`).
-            let results = if self.needs_trace_for_bound(&w.config) {
-                let raw = self.generate_raw(w);
-                let caches = self.cache_bound(&w.config, &raw);
-                self.run_stream(&broadcaster, caches, raw.into_iter(), overlap, &mut observe)?
-            } else {
-                let caches = self.cache_bound(&w.config, &[]);
-                self.note_generation(&w.name);
-                let stream = Workload::new(w.config.clone()).take(self.refs_per_trace);
-                self.run_stream(&broadcaster, caches, stream, overlap, &mut observe)?
-            };
-            trace_stats.push((w.name.clone(), stats));
-            per_workload.push(results);
-        }
-
-        let per_scheme = self
-            .schemes
-            .iter()
-            .enumerate()
-            .map(|(i, &scheme)| {
-                let mut per_trace = Vec::with_capacity(self.workloads.len());
-                let mut combined: Option<SimResult> = None;
-                for (w, results) in self.workloads.iter().zip(per_workload.iter()) {
-                    let result = results[i].clone();
-                    match combined.as_mut() {
-                        Some(c) => c.merge(&result),
-                        None => combined = Some(result.clone()),
-                    }
-                    per_trace.push((w.name.clone(), result));
-                }
-                SchemeResult {
-                    scheme,
-                    per_trace,
-                    combined: combined.expect("at least one workload"),
-                }
-            })
-            .collect();
-
-        Ok(ExperimentResults {
-            trace_stats,
-            per_scheme,
-        })
+    fn assert_configured(&self) {
+        assert!(!self.workloads.is_empty(), "experiment needs workloads");
+        assert!(!self.schemes.is_empty(), "experiment needs schemes");
     }
 
-    /// Drives one workload's reference stream through the broadcaster in
-    /// the requested placement, applying lock-test filtering at the
-    /// source so `observe` (and therefore [`TraceStats`]) sees exactly
-    /// the filtered stream, as in serial mode.
+    /// Drives one workload's reference stream through the broadcaster,
+    /// applying lock-test filtering at the source so `observe` (and
+    /// therefore [`TraceStats`]) sees exactly the filtered stream, as in
+    /// [`Self::run_serial`].
     fn run_stream<I>(
         &self,
         broadcaster: &BroadcastSimulator,
         caches: u32,
         stream: I,
-        overlap: bool,
         observe: &mut dyn FnMut(&MemRef),
     ) -> Result<Vec<SimResult>, Error>
     where
-        I: Iterator<Item = MemRef> + Send,
+        I: Iterator<Item = MemRef>,
     {
-        match (self.exclude_lock_tests, overlap) {
-            (true, true) => broadcaster.run_observed_pipelined(
-                &self.schemes,
-                caches,
-                WithoutLockTests::new(IterSource::new(stream)),
-                observe,
-            ),
-            (true, false) => broadcaster.run_observed(
-                &self.schemes,
-                caches,
-                WithoutLockTests::new(IterSource::new(stream)),
-                observe,
-            ),
-            (false, true) => broadcaster.run_observed_pipelined(
-                &self.schemes,
-                caches,
-                IterSource::new(stream),
-                observe,
-            ),
-            (false, false) => {
-                broadcaster.run_observed(&self.schemes, caches, IterSource::new(stream), observe)
-            }
-        }
+        let source: Box<dyn TraceSource + '_> = if self.exclude_lock_tests {
+            Box::new(WithoutLockTests::new(IterSource::new(stream)))
+        } else {
+            Box::new(IterSource::new(stream))
+        };
+        broadcaster.run_observed(&self.schemes, caches, source, observe)
     }
 }
 
@@ -632,22 +570,21 @@ mod tests {
         assert!(b < a, "lock filtering removed references ({b} !< {a})");
     }
 
+    fn assert_same(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
+        assert_eq!(a.trace_stats, b.trace_stats, "{what}");
+        for (x, y) in a.per_scheme.iter().zip(b.per_scheme.iter()) {
+            assert_eq!(x.scheme, y.scheme, "{what}");
+            assert_eq!(x.combined, y.combined, "{what}");
+            assert_eq!(x.per_trace, y.per_trace, "{what}");
+        }
+    }
+
     #[test]
     fn all_execution_modes_match() {
-        let serial = tiny_experiment().run_with(ExecutionMode::Serial).unwrap();
-        for mode in [
-            ExecutionMode::SinglePass,
-            ExecutionMode::Sharded { workers: 3 },
-            ExecutionMode::Pipelined { workers: 1 },
-            ExecutionMode::Pipelined { workers: 3 },
-        ] {
-            let other = tiny_experiment().run_with(mode).unwrap();
-            assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
-            for (a, b) in serial.per_scheme.iter().zip(other.per_scheme.iter()) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.combined, b.combined, "{mode:?}");
-                assert_eq!(a.per_trace, b.per_trace, "{mode:?}");
-            }
+        let serial = tiny_experiment().run_serial().unwrap();
+        for workers in [1, 3, 8] {
+            let other = tiny_experiment().workers(workers).run().unwrap();
+            assert_same(&serial, &other, &format!("workers = {workers}"));
         }
     }
 
@@ -655,56 +592,58 @@ mod tests {
     fn modes_match_with_lock_exclusion() {
         let serial = tiny_experiment()
             .exclude_lock_tests(true)
-            .run_with(ExecutionMode::Serial)
+            .run_serial()
             .unwrap();
-        let single = tiny_experiment()
-            .exclude_lock_tests(true)
-            .run_with(ExecutionMode::SinglePass)
-            .unwrap();
-        assert_eq!(serial.trace_stats, single.trace_stats);
-        for (a, b) in serial.per_scheme.iter().zip(single.per_scheme.iter()) {
-            assert_eq!(a.combined, b.combined);
+        for workers in [1, 3, 8] {
+            let other = tiny_experiment()
+                .exclude_lock_tests(true)
+                .workers(workers)
+                .run()
+                .unwrap();
+            assert_same(&serial, &other, &format!("workers = {workers}"));
         }
     }
 
     #[test]
     fn parallel_run_matches_sequential() {
         let sequential = tiny_experiment().run().unwrap();
-        let parallel = tiny_experiment().run_parallel().unwrap();
-        assert_eq!(sequential.trace_stats, parallel.trace_stats);
-        for (a, b) in sequential.per_scheme.iter().zip(parallel.per_scheme.iter()) {
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.combined, b.combined);
-            assert_eq!(a.per_trace, b.per_trace);
-        }
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let parallel = tiny_experiment().workers(workers).run().unwrap();
+        assert_same(&sequential, &parallel, &format!("workers = {workers}"));
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        // Regression: the harness used to clamp a zero worker count to
+        // one and run, while the engine rejects it; both now agree.
+        let err = tiny_experiment().workers(0).run().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config(crate::engine::SimConfigError::ZeroWorkers)
+            ),
+            "{err}"
+        );
     }
 
     #[test]
     fn sharded_finite_cache_matches_serial() {
         // Regression: sharded finite-cache experiments used to be
         // rejected with a typed `ShardedFiniteCache` error; set sharding
-        // made them exact. `run_parallel` shards finite geometries too.
+        // made them exact.
         use dirsim_mem::CacheGeometry;
         let config = SimConfig::builder()
             .geometry(CacheGeometry { sets: 16, ways: 2 })
             .build()
             .unwrap();
-        let serial = tiny_experiment()
-            .sim_config(config)
-            .run_with(ExecutionMode::Serial)
-            .unwrap();
-        for results in [
-            tiny_experiment()
+        let serial = tiny_experiment().sim_config(config).run_serial().unwrap();
+        for workers in [1, 3, 8] {
+            let results = tiny_experiment()
                 .sim_config(config)
-                .run_with(ExecutionMode::Sharded { workers: 4 })
-                .unwrap(),
-            tiny_experiment().sim_config(config).run_parallel().unwrap(),
-        ] {
-            for (a, b) in serial.per_scheme.iter().zip(results.per_scheme.iter()) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.combined, b.combined);
-                assert_eq!(a.per_trace, b.per_trace);
-            }
+                .workers(workers)
+                .run()
+                .unwrap();
+            assert_same(&serial, &results, &format!("workers = {workers}"));
         }
     }
 
@@ -719,20 +658,20 @@ mod tests {
         // `Workload` stream the experiment constructs.
         let open = Scenario::named("open-system").unwrap();
         assert!(open.config().open.is_enabled(), "scenario must be open");
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::SinglePass,
-            ExecutionMode::Pipelined { workers: 2 },
-        ] {
+        for mode in ["serial", "workers = 1", "workers = 3"] {
             let reg = Arc::new(MetricsRegistry::new());
-            let results = Experiment::new()
+            let experiment = Experiment::new()
                 .workload(NamedWorkload::from(open))
                 .workload(NamedWorkload::new("closed", small_config(3)))
                 .schemes([Scheme::dir0_b(), Scheme::Dragon])
                 .refs_per_trace(4_000)
-                .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
-                .run_with(mode)
-                .unwrap();
+                .recorder(Arc::clone(&reg) as Arc<dyn Recorder>);
+            let results = match mode {
+                "serial" => experiment.run_serial(),
+                "workers = 1" => experiment.workers(1).run(),
+                _ => experiment.workers(3).run(),
+            }
+            .unwrap();
             assert_eq!(results.per_scheme.len(), 2);
             for name in ["open-system", "closed"] {
                 let passes: u64 = reg
@@ -747,7 +686,7 @@ mod tests {
                         _ => 0,
                     })
                     .sum();
-                assert_eq!(passes, 1, "{mode:?}: trace {name} generated {passes} times");
+                assert_eq!(passes, 1, "{mode}: trace {name} generated {passes} times");
             }
         }
     }
@@ -755,7 +694,7 @@ mod tests {
     #[test]
     fn open_system_modes_agree_on_cache_bound() {
         // The materialised bound must match what the old dry pass
-        // computed: every execution mode still sizes the system
+        // computed: every worker count still sizes the system
         // identically and produces bit-identical results.
         let open = Scenario::named("open-system").unwrap();
         let experiment = || {
@@ -764,16 +703,13 @@ mod tests {
                 .scheme(Scheme::dir0_b())
                 .refs_per_trace(4_000)
         };
-        let serial = experiment().run_with(ExecutionMode::Serial).unwrap();
-        for mode in [
-            ExecutionMode::SinglePass,
-            ExecutionMode::Pipelined { workers: 2 },
-        ] {
-            let other = experiment().run_with(mode).unwrap();
-            assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
+        let serial = experiment().run_serial().unwrap();
+        for workers in [1, 3, 8] {
+            let other = experiment().workers(workers).run().unwrap();
+            assert_eq!(serial.trace_stats, other.trace_stats, "workers = {workers}");
             assert_eq!(
                 serial.per_scheme[0].combined, other.per_scheme[0].combined,
-                "{mode:?}"
+                "workers = {workers}"
             );
         }
     }

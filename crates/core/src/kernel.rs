@@ -55,8 +55,10 @@ pub enum KernelPolicy {
     Auto,
     /// Never use kernels: every lane steps its match-based machine.
     Disabled,
-    /// Kernels must engage on every audit-free lane; an ineligible cache
-    /// count panics instead of silently falling back. Audited lanes still
+    /// Kernels must engage on every audit-free lane; a cache count past
+    /// [`MAX_KERNEL_CACHES`] is rejected with the typed
+    /// [`SimConfigError::KernelCap`](crate::engine::SimConfigError::KernelCap)
+    /// before the run starts, instead of silently falling back. Audited lanes still
     /// take the match path (the audits need movements and probes that
     /// rows do not carry). Meant for tests that pin the kernel path.
     Required,
@@ -75,6 +77,11 @@ impl KernelPolicy {
 /// state space stop paying for themselves; the sharer-set spill path and
 /// match machines handle it.
 pub const MAX_KERNEL_CACHES: u32 = 64;
+
+/// Whether a table kernel exists for a system of `caches` caches.
+pub(crate) fn fits(caches: u32) -> bool {
+    caches != 0 && caches <= MAX_KERNEL_CACHES
+}
 
 /// Total transition-row budget per kernel (states × events). Bounds lazy
 /// table growth to a few MB; overflow falls back to the match machines.
@@ -391,7 +398,7 @@ impl LaneKernel {
     /// A kernel for `scheme` at `caches`, or `None` when the system is too
     /// wide to table ([`MAX_KERNEL_CACHES`]).
     pub(crate) fn new(scheme: Scheme, caches: u32) -> Option<LaneKernel> {
-        if caches == 0 || caches > MAX_KERNEL_CACHES {
+        if !fits(caches) {
             return None;
         }
         let events = caches as usize * 3;

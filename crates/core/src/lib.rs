@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::broadcast::BroadcastSimulator;
     pub use crate::engine::{SimConfig, SimResult, Simulator};
     pub use crate::error::Error;
-    pub use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
+    pub use crate::experiment::{Experiment, ExperimentResults, NamedWorkload};
     pub use crate::histogram::FanoutHistogram;
     pub use crate::kernel::KernelPolicy;
     pub use dirsim_cost::{BusKind, CostBreakdown, CostCategory, CostModel};

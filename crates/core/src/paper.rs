@@ -497,6 +497,7 @@ pub fn seed_sensitivity(
     let model = CostModel::pipelined();
     let schemes = Scheme::paper_lineup();
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     for seed_offset in 0..seeds {
         let workloads: Vec<NamedWorkload> = paper_workloads()
             .into_iter()
@@ -509,7 +510,8 @@ pub fn seed_sensitivity(
             .workloads(workloads)
             .schemes(schemes.clone())
             .refs_per_trace(refs_per_trace)
-            .run_parallel()?;
+            .workers(workers)
+            .run()?;
         for (i, s) in results.per_scheme.iter().enumerate() {
             samples[i].push(s.combined.cycles_per_ref(model));
         }

@@ -1,6 +1,6 @@
-//! The staged execution pipeline shared by every execution mode.
+//! The staged execution pipeline behind every engine run.
 //!
-//! Every way of running the engine is the same four stages:
+//! Every run of the engine is the same four stages:
 //!
 //! ```text
 //!   decode ──► route ──► step ──► merge
@@ -8,67 +8,49 @@
 //!    source)    key)       per scheme) counter sums)
 //! ```
 //!
-//! This module implements the stages exactly once; the public
+//! This module implements the stages exactly once, and [`run`] places
+//! them by one rule. The public
 //! [`BroadcastSimulator`](crate::broadcast::BroadcastSimulator) and the
-//! [`Experiment`](crate::experiment::Experiment) harness only choose how
-//! the stages are *placed*:
+//! [`Experiment`](crate::experiment::Experiment) harness only pass the
+//! configuration through.
 //!
-//! * **inline** (`run_inline`) — decode happens on the calling thread,
-//!   between chunks. With one worker the route stage is the identity and
-//!   stepping happens in-thread; with several, references are routed by
-//!   [`ShardKey`] into per-shard bounded queues. Sources exposing a
-//!   borrowed-chunk view (`TraceSource::borrowed`, e.g. mmap-backed
-//!   corpus files) lend their decode buffer straight to the step side,
-//!   skipping the owned-buffer copy entirely.
-//! * **overlapped** (`run_overlapped`) — a dedicated producer thread
-//!   decodes chunk *N+1* from the [`TraceSource`] while the step side is
-//!   still working on chunk *N*.
+//! * **The source kind picks the feed.** Sources with a borrowed-chunk
+//!   view (`TraceSource::borrowed`, e.g. mmap-backed DTR1 files) lend
+//!   their decode buffer straight to the step side through
+//!   [`BorrowedFeed`]; every other source fills one recycled owned
+//!   buffer through [`InlineFeed`]. Either way decode runs on the
+//!   calling thread, between chunks.
+//! * **`workers` picks the step side.** With one worker the route stage
+//!   is the identity and every lane steps on the calling thread
+//!   ([`drive_in_thread`]). With two or more, references are routed by
+//!   [`ShardKey`] into per-shard bounded queues and one worker thread
+//!   steps each shard ([`drive_sharded`]); the calling thread keeps
+//!   decoding and routing while the workers step, so decode overlaps
+//!   stepping without a thread of its own.
 //!
 //! ## Chunk leases
 //!
 //! The decode → step boundary is a lending one: each `ChunkFeed::next`
 //! call returns a borrowed slice that stays valid until the next call.
 //! The step side never owns chunk storage, so where buffers live is
-//! each feed's private business — a single inline spare, the mmap
-//! source's reusable decode buffer, or the overlapped recycle pool.
-//!
-//! ## Buffer recycling
-//!
-//! The overlapped feed is a two-channel handshake built on
-//! [`TraceSource::read_chunk_owned`]: filled chunk buffers travel
-//! producer → consumer over a bounded data channel of depth
-//! [`PIPELINE_DEPTH`], and emptied buffers travel back over a recycle
-//! channel. Exactly `PIPELINE_DEPTH + 2` buffers exist for the lifetime of
-//! a run (the data queue, plus one in each side's hands), so the steady
-//! state allocates nothing and memory stays bounded no matter how long
-//! the trace is. The recycle channel's capacity equals the total buffer
-//! count, so returning a buffer never blocks the step side.
-//!
-//! ## Why overlap cannot perturb results
-//!
-//! The producer moves *work*, never *order*: chunk boundaries carry no
-//! simulation state (every lane's protocol state persists across chunks),
-//! the consumer receives chunks in exactly the order they were decoded
-//! (one bounded FIFO), and the observer hook still runs on the consumer
-//! thread in stream order. The step and merge stages are byte-for-byte
-//! the ones the inline path uses, so results are bit-identical across
-//! all placements — `tests/equivalence.rs` pins this for every scheme.
+//! each feed's private business — a single inline spare, or the mmap
+//! source's reusable decode buffer.
 //!
 //! ## Pipeline metrics
 //!
 //! On top of the `phase_seconds{phase=decode|route|step|merge}` spans the
-//! overlapped feed records how well the overlap is doing:
+//! sharded placement records how well decode and stepping overlap:
 //!
-//! * `decode_stall_seconds` — histogram of time the step side waited for
-//!   a decoded chunk (per chunk);
-//! * `step_stall_seconds` — histogram of time the producer waited for the
-//!   step side (for a free buffer, or for space in the data queue);
-//! * `pipeline_queue_depth{stage=decode}` and
-//!   `pipeline_queue_depth{shard, stage=step}` — decoded chunks in flight
-//!   at each dequeue, and per-shard batches in flight at each worker
-//!   dequeue;
-//! * `pipeline_occupancy` — gauge in `[0, 1]`: the fraction of the run
-//!   the step side spent stepping rather than stalled on decode.
+//! * `decode_stall_seconds` — histogram of the time a shard worker
+//!   waited for its next batch (per batch);
+//! * `step_stall_seconds` — histogram of the time the router blocked on
+//!   a full shard queue (per batch sent);
+//! * `pipeline_queue_depth{shard, stage=step}` — per-shard batches in
+//!   flight at each worker dequeue;
+//! * `pipeline_occupancy` — gauge in `[0, 1]`: the mean over the shards
+//!   of the fraction of each worker's life spent stepping.
+//!
+//! All four are recorded only while the recorder is enabled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -78,16 +60,11 @@ use dirsim_mem::{BlockAddr, CacheStorage, FiniteCache, FxHashMap};
 use dirsim_obs::{Recorder, Span};
 use dirsim_protocol::{CoherenceProtocol, Scheme};
 use dirsim_trace::source::{BorrowedChunkSource, TraceSource};
-use dirsim_trace::{AccessKind, MemRef, TraceIoError};
+use dirsim_trace::{AccessKind, MemRef};
 
 use crate::engine::{Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
 use crate::error::{Error, InvariantError};
-use crate::kernel::{DecodedRef, KernelPolicy, LaneKernel, NO_VICTIM};
-
-/// Depth (in chunks) of the overlapped decode queue. Two is enough for
-/// full overlap — one chunk being stepped, one decoded ahead — without
-/// letting a fast producer run away with memory.
-pub(crate) const PIPELINE_DEPTH: usize = 2;
+use crate::kernel::{DecodedRef, LaneKernel, NO_VICTIM};
 
 /// Capacity (in batches) of each shard's bounded channel.
 const SHARD_CHANNEL_DEPTH: usize = 4;
@@ -140,20 +117,15 @@ impl LaneBank {
             .iter()
             .map(|p| Lane::new(config, p.name()))
             .collect();
+        // `KernelPolicy::Required` above the kernel cap was rejected with
+        // a typed error before any bank was built (`validate_run`).
         let kernels: Vec<Option<LaneKernel>> = schemes
             .iter()
             .map(|&s| {
-                if !config.kernel_eligible() {
-                    return None;
-                }
-                let kernel = LaneKernel::new(s, caches);
-                if kernel.is_none() && config.kernels == KernelPolicy::Required {
-                    panic!(
-                        "KernelPolicy::Required, but {caches} caches exceed the \
-                         table-kernel cap for {s:?}"
-                    );
-                }
-                kernel
+                config
+                    .kernel_eligible()
+                    .then(|| LaneKernel::new(s, caches))
+                    .flatten()
             })
             .collect();
         LaneBank {
@@ -176,7 +148,7 @@ impl LaneBank {
     /// Steps every lane over one chunk. The kernel/match dispatch is
     /// hoisted out of the per-reference loop, and when any kernel lane is
     /// live the chunk is decoded exactly once for all of them. A single
-    /// kernel lane (the serial mode's shape) fuses decode and step into
+    /// kernel lane (the serial oracle's shape) fuses decode and step into
     /// one pass instead of staging through the decode buffer.
     fn step_chunk(&mut self, config: &SimConfig, refs: &[MemRef]) -> Result<(), Error> {
         let LaneBank {
@@ -243,11 +215,21 @@ impl LaneBank {
                                 &refs[..j],
                             ));
                         }
-                        step_direct(config, &mut lanes[i], protocols[i].as_mut(), &refs[j..])?;
+                        step_direct(
+                            config,
+                            &mut lanes[i],
+                            protocols[i].as_mut(),
+                            refs[j..].iter().copied(),
+                        )?;
                     }
                 }
             } else {
-                step_direct(config, &mut lanes[i], protocols[i].as_mut(), refs)?;
+                step_direct(
+                    config,
+                    &mut lanes[i],
+                    protocols[i].as_mut(),
+                    refs.iter().copied(),
+                )?;
             }
         }
         Ok(())
@@ -357,14 +339,19 @@ fn replay_finite(
     finite
 }
 
-/// Steps one lane over a slice on the match-based path.
-fn step_direct(
+/// Steps one lane over a reference stream on the match-based path: the
+/// one match-path step loop, shared by the lane banks and
+/// [`Simulator::run`](crate::engine::Simulator::run).
+pub(crate) fn step_direct<I>(
     config: &SimConfig,
     lane: &mut Lane,
     protocol: &mut dyn CoherenceProtocol,
-    refs: &[MemRef],
-) -> Result<(), Error> {
-    for &r in refs {
+    refs: I,
+) -> Result<(), Error>
+where
+    I: IntoIterator<Item = MemRef>,
+{
+    for r in refs {
         let index = lane.next_index();
         if let Err(failure) = lane.step(config, protocol, r) {
             return Err(step_error(protocol.name(), index, failure));
@@ -376,7 +363,7 @@ fn step_direct(
 /// Attributes a step failure to its scheme and reference as a typed
 /// [`Error`].
 #[cold]
-pub(crate) fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
+fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
     match failure {
         StepFailure::Invariant { violation, .. } => Error::Invariant(InvariantError {
             scheme,
@@ -395,13 +382,13 @@ pub(crate) fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -
 /// `next` returning `Ok(None)` means end of stream; the returned slice
 /// is valid until the next call, so the step side never owns (or
 /// copies) chunk storage. Where the buffers live — a single inline
-/// spare, the mmap source's reusable decode buffer, or the overlapped
-/// recycle pool — is each feed's private business.
+/// spare, or the mmap source's reusable decode buffer — is each feed's
+/// private business.
 trait ChunkFeed {
     fn next(&mut self) -> Result<Option<&[MemRef]>, Error>;
 }
 
-/// Non-overlapped decode: reads the source on the calling thread, between
+/// Owned-buffer decode: reads the source on the calling thread, between
 /// chunks, with a single recycled buffer.
 struct InlineFeed<'a> {
     source: &'a mut dyn TraceSource,
@@ -425,7 +412,7 @@ impl ChunkFeed for InlineFeed<'_> {
 /// Zero-copy decode for sources with a borrowed-chunk view (see
 /// [`TraceSource::borrowed`]): each chunk is decoded once into storage
 /// the source owns and lent straight through to the step side — no
-/// owned-buffer recycle round-trip, no copy into a feed-side spare.
+/// copy into a feed-side spare.
 struct BorrowedFeed<'a> {
     source: &'a mut dyn BorrowedChunkSource,
     chunk: usize,
@@ -441,135 +428,6 @@ impl ChunkFeed for BorrowedFeed<'_> {
             return Ok(None);
         }
         Ok(Some(chunk))
-    }
-}
-
-/// Overlapped decode: receives chunks a dedicated producer thread filled
-/// ahead of time (see [`producer_loop`]) and sends emptied buffers back.
-/// The lent chunk is held in `current`; the next call to [`ChunkFeed::next`]
-/// recycles it to the producer before blocking on the data channel.
-struct ChannelFeed<'a> {
-    rx: mpsc::Receiver<Result<Vec<MemRef>, TraceIoError>>,
-    recycle_tx: mpsc::SyncSender<Vec<MemRef>>,
-    depth: &'a AtomicUsize,
-    rec: &'a dyn Recorder,
-    /// The chunk currently lent to the step side.
-    current: Option<Vec<MemRef>>,
-    /// `Some` iff the recorder is enabled: total consumer stall so far and
-    /// when the feed started, for the closing occupancy gauge.
-    clock: Option<(f64, Instant)>,
-}
-
-impl<'a> ChannelFeed<'a> {
-    fn new(
-        rx: mpsc::Receiver<Result<Vec<MemRef>, TraceIoError>>,
-        recycle_tx: mpsc::SyncSender<Vec<MemRef>>,
-        depth: &'a AtomicUsize,
-        rec: &'a dyn Recorder,
-    ) -> Self {
-        ChannelFeed {
-            rx,
-            recycle_tx,
-            depth,
-            rec,
-            current: None,
-            clock: rec.enabled().then(|| (0.0, Instant::now())),
-        }
-    }
-
-    /// Records the occupancy gauge and drops both channel ends, which
-    /// makes the producer exit even when stepping failed mid-stream.
-    fn finish(self) {
-        if let Some((stall, started)) = self.clock {
-            let elapsed = started.elapsed().as_secs_f64();
-            let occupancy = if elapsed > 0.0 {
-                (1.0 - stall / elapsed).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            self.rec.gauge("pipeline_occupancy", &[], occupancy);
-        }
-    }
-}
-
-impl ChunkFeed for ChannelFeed<'_> {
-    fn next(&mut self) -> Result<Option<&[MemRef]>, Error> {
-        // The previous lease just expired: hand the emptied buffer back.
-        // The recycle channel's capacity equals the total buffer count,
-        // so this never blocks; an error just means the producer exited.
-        if let Some(spent) = self.current.take() {
-            let _ = self.recycle_tx.send(spent);
-        }
-        let wait = self.clock.as_ref().map(|_| Instant::now());
-        let received = self.rx.recv();
-        if let Some(wait) = wait {
-            let stalled = wait.elapsed().as_secs_f64();
-            if let Some((stall, _)) = self.clock.as_mut() {
-                *stall += stalled;
-            }
-            self.rec.observe("decode_stall_seconds", &[], stalled);
-        }
-        match received {
-            Ok(Ok(buf)) => {
-                let queued = self.depth.fetch_sub(1, Ordering::Relaxed);
-                if self.clock.is_some() {
-                    self.rec.observe(
-                        "pipeline_queue_depth",
-                        &[("stage", "decode")],
-                        queued as f64,
-                    );
-                }
-                Ok(Some(self.current.insert(buf).as_slice()))
-            }
-            Ok(Err(e)) => Err(Error::TraceIo(e)),
-            // The producer dropped its sender: end of stream.
-            Err(mpsc::RecvError) => Ok(None),
-        }
-    }
-}
-
-/// The overlapped-decode producer: waits for an emptied buffer, refills
-/// it from the source, and sends it forward. Runs until end of stream, a
-/// decode error, or the consumer hangs up.
-fn producer_loop(
-    source: &mut dyn TraceSource,
-    chunk: usize,
-    tx: mpsc::SyncSender<Result<Vec<MemRef>, TraceIoError>>,
-    recycle_rx: mpsc::Receiver<Vec<MemRef>>,
-    depth: &AtomicUsize,
-    rec: &dyn Recorder,
-) {
-    let enabled = rec.enabled();
-    loop {
-        // An emptied buffer coming back doubles as the consumer's
-        // liveness signal: a closed recycle channel means the step side
-        // is gone (finished or failed), so stop decoding.
-        let wait = enabled.then(Instant::now);
-        let Ok(buf) = recycle_rx.recv() else { return };
-        if let Some(wait) = wait {
-            rec.observe("step_stall_seconds", &[], wait.elapsed().as_secs_f64());
-        }
-        let decode = Span::with_labels(rec, "phase_seconds", &[("phase", "decode")]);
-        let read = source.read_chunk_owned(buf, chunk);
-        drop(decode);
-        match read {
-            // End of stream: dropping `tx` tells the consumer.
-            Ok(buf) if buf.is_empty() => return,
-            Ok(buf) => {
-                depth.fetch_add(1, Ordering::Relaxed);
-                let wait = enabled.then(Instant::now);
-                if tx.send(Ok(buf)).is_err() {
-                    return;
-                }
-                if let Some(wait) = wait {
-                    rec.observe("step_stall_seconds", &[], wait.elapsed().as_secs_f64());
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        }
     }
 }
 
@@ -617,6 +475,8 @@ fn drive_in_thread(
 /// configuration's [`ShardKey`] into per-shard bounded queues, one worker
 /// thread steps each shard, and the merge stage sums the per-shard
 /// counters (all commutative, so totals are bit-identical to serial).
+/// Decode and routing stay on the calling thread, overlapped with the
+/// workers' stepping.
 #[allow(clippy::too_many_arguments)]
 fn drive_sharded(
     config: SimConfig,
@@ -633,7 +493,7 @@ fn drive_sharded(
     let queue_depth: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
     let queue_depth = &queue_depth;
 
-    let per_worker: Result<Vec<Vec<SimResult>>, Error> = std::thread::scope(|scope| {
+    let per_worker: Result<Vec<(Vec<SimResult>, f64)>, Error> = std::thread::scope(|scope| {
         let mut txs = Vec::with_capacity(workers);
         let mut recycle_rxs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -646,33 +506,67 @@ fn drive_sharded(
                 mpsc::sync_channel::<Vec<MemRef>>(SHARD_CHANNEL_DEPTH + 2);
             txs.push(tx);
             recycle_rxs.push(recycle_rx);
-            handles.push(scope.spawn(move || -> Result<Vec<SimResult>, Error> {
-                let shard_label = shard.to_string();
-                let mut bank = LaneBank::new(&config, schemes, caches);
-                for mut batch in rx {
-                    if enabled {
-                        let queued = depth.fetch_sub(1, Ordering::Relaxed);
-                        rec.observe(
-                            "pipeline_queue_depth",
-                            &[("shard", &shard_label), ("stage", "step")],
-                            queued as f64,
+            handles.push(
+                scope.spawn(move || -> Result<(Vec<SimResult>, f64), Error> {
+                    let shard_label = shard.to_string();
+                    let mut bank = LaneBank::new(&config, schemes, caches);
+                    // `Some` iff the recorder is enabled: when the worker
+                    // started waiting for work, for the occupancy gauge.
+                    let started = enabled.then(Instant::now);
+                    let mut busy = 0.0;
+                    loop {
+                        let wait = enabled.then(Instant::now);
+                        let Ok(mut batch) = rx.recv() else { break };
+                        if let Some(wait) = wait {
+                            rec.observe("decode_stall_seconds", &[], wait.elapsed().as_secs_f64());
+                            let queued = depth.fetch_sub(1, Ordering::Relaxed);
+                            rec.observe(
+                                "pipeline_queue_depth",
+                                &[("shard", &shard_label), ("stage", "step")],
+                                queued as f64,
+                            );
+                        }
+                        let step = Span::with_labels(
+                            rec,
+                            "phase_seconds",
+                            &[("phase", "step"), ("shard", &shard_label)],
                         );
+                        let stepping = enabled.then(Instant::now);
+                        bank.step_chunk(&config, &batch)?;
+                        if let Some(stepping) = stepping {
+                            busy += stepping.elapsed().as_secs_f64();
+                        }
+                        drop(step);
+                        batch.clear();
+                        // A full (or closed) return queue just means this
+                        // buffer isn't reused; dropping it is harmless.
+                        let _ = recycle_tx.try_send(batch);
                     }
-                    let step = Span::with_labels(
-                        rec,
-                        "phase_seconds",
-                        &[("phase", "step"), ("shard", &shard_label)],
-                    );
-                    bank.step_chunk(&config, &batch)?;
-                    drop(step);
-                    batch.clear();
-                    // A full (or closed) return queue just means this
-                    // buffer isn't reused; dropping it is harmless.
-                    let _ = recycle_tx.try_send(batch);
-                }
-                Ok(bank.finish())
-            }));
+                    let occupancy = started.map_or(1.0, |started| {
+                        let elapsed = started.elapsed().as_secs_f64();
+                        if elapsed > 0.0 {
+                            (busy / elapsed).clamp(0.0, 1.0)
+                        } else {
+                            1.0
+                        }
+                    });
+                    Ok((bank.finish(), occupancy))
+                }),
+            );
         }
+
+        // Hands one batch to its shard. A closed channel means the worker
+        // already failed; its error surfaces at join.
+        let send = |shard: usize, batch: Vec<MemRef>| {
+            if !enabled {
+                let _ = txs[shard].send(batch);
+                return;
+            }
+            queue_depth[shard].fetch_add(1, Ordering::Relaxed);
+            let wait = Instant::now();
+            let _ = txs[shard].send(batch);
+            rec.observe("step_stall_seconds", &[], wait.elapsed().as_secs_f64());
+        };
 
         // Routing by key (not by hash) keeps the assignment
         // deterministic, so per-shard subsequences — and therefore merged
@@ -692,13 +586,7 @@ fn drive_sharded(
                     let fresh = recycle_rxs[shard]
                         .try_recv()
                         .unwrap_or_else(|_| Vec::with_capacity(chunk));
-                    let batch = std::mem::replace(pending, fresh);
-                    if enabled {
-                        queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A closed channel means the worker already failed;
-                    // its error surfaces at join.
-                    let _ = txs[shard].send(batch);
+                    send(shard, std::mem::replace(pending, fresh));
                 }
             }
             Ok(())
@@ -706,10 +594,7 @@ fn drive_sharded(
         let driven = drive(rec, feed, observe, &mut sink);
         for (shard, pending) in staging.into_iter().enumerate() {
             if !pending.is_empty() {
-                if enabled {
-                    queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = txs[shard].send(pending);
+                send(shard, pending);
             }
         }
         drop(txs);
@@ -737,7 +622,7 @@ fn drive_sharded(
 
     let per_worker = per_worker?;
     if enabled {
-        for (shard, shard_results) in per_worker.iter().enumerate() {
+        for (shard, (shard_results, _)) in per_worker.iter().enumerate() {
             let shard_label = shard.to_string();
             let labels = [("shard", shard_label.as_str())];
             // All lanes in one shard see the same subsequence, so any
@@ -746,13 +631,17 @@ fn drive_sharded(
             let ops: u64 = shard_results.iter().map(|r| r.ops.total()).sum();
             rec.counter("shard_ops", &labels, ops);
         }
+        let occupancy: f64 = per_worker.iter().map(|(_, o)| o).sum::<f64>() / workers as f64;
+        rec.gauge("pipeline_occupancy", &[], occupancy);
     }
 
     // Merge shard results per scheme. Every SimResult field is a
     // commutative sum (or a histogram of sums), so the totals equal a
     // serial run's bit for bit.
     let merge = Span::with_labels(rec, "phase_seconds", &[("phase", "merge")]);
-    let mut shards = per_worker.into_iter();
+    let mut shards = per_worker
+        .into_iter()
+        .map(|(shard_results, _)| shard_results);
     let mut merged = shards.next().expect("at least one worker");
     for shard_results in shards {
         for (acc, r) in merged.iter_mut().zip(shard_results.iter()) {
@@ -763,13 +652,13 @@ fn drive_sharded(
     Ok(merged)
 }
 
-/// Runs the pipeline with decode inline on the calling thread (the
-/// classic placement: serial, single-pass, and sharded modes). Sources
-/// with a borrowed-chunk view (mmap-backed files) feed the step side
-/// zero-copy; everything else goes through the owned-buffer
-/// [`InlineFeed`].
+/// Runs the pipeline over `source`. The source kind picks the feed (the
+/// zero-copy [`BorrowedFeed`] when the source has a borrowed-chunk view,
+/// the owned-buffer [`InlineFeed`] otherwise) and `workers` picks the
+/// step side (in-thread for one, sharded for more); decode always runs
+/// on the calling thread.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_inline(
+pub(crate) fn run(
     config: SimConfig,
     chunk: usize,
     workers: usize,
@@ -779,99 +668,29 @@ pub(crate) fn run_inline(
     source: &mut dyn TraceSource,
     observe: &mut dyn FnMut(&MemRef),
 ) -> Result<Vec<SimResult>, Error> {
-    let results = match source.borrowed() {
-        Some(borrowed) => {
-            let mut feed = BorrowedFeed {
-                source: borrowed,
-                chunk,
-                rec,
-            };
-            drive_placed(
-                config, chunk, workers, rec, schemes, caches, &mut feed, observe,
-            )?
-        }
-        None => {
-            let mut feed = InlineFeed {
-                source,
-                chunk,
-                spare: Vec::with_capacity(chunk),
-                rec,
-            };
-            drive_placed(
-                config, chunk, workers, rec, schemes, caches, &mut feed, observe,
-            )?
+    let mut place = |feed: &mut dyn ChunkFeed| {
+        if workers > 1 {
+            drive_sharded(config, chunk, workers, rec, schemes, caches, feed, observe)
+        } else {
+            drive_in_thread(config, rec, schemes, caches, feed, observe)
         }
     };
-    record_scheme_totals(rec, &results);
-    Ok(results)
-}
-
-/// Chooses the step-stage placement (in-thread vs sharded) for a feed.
-#[allow(clippy::too_many_arguments)]
-fn drive_placed(
-    config: SimConfig,
-    chunk: usize,
-    workers: usize,
-    rec: &dyn Recorder,
-    schemes: &[Scheme],
-    caches: u32,
-    feed: &mut dyn ChunkFeed,
-    observe: &mut dyn FnMut(&MemRef),
-) -> Result<Vec<SimResult>, Error> {
-    if workers <= 1 {
-        drive_in_thread(config, rec, schemes, caches, feed, observe)
-    } else {
-        drive_sharded(config, chunk, workers, rec, schemes, caches, feed, observe)
-    }
-}
-
-/// Runs the pipeline with decode overlapped on a dedicated producer
-/// thread (see the module docs for the buffer-recycling handshake).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_overlapped<S>(
-    config: SimConfig,
-    chunk: usize,
-    workers: usize,
-    rec: &dyn Recorder,
-    schemes: &[Scheme],
-    caches: u32,
-    mut source: S,
-    observe: &mut dyn FnMut(&MemRef),
-) -> Result<Vec<SimResult>, Error>
-where
-    S: TraceSource + Send,
-{
-    let depth = AtomicUsize::new(0);
-    let depth = &depth;
-    let (data_tx, data_rx) =
-        mpsc::sync_channel::<Result<Vec<MemRef>, TraceIoError>>(PIPELINE_DEPTH);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<MemRef>>(PIPELINE_DEPTH + 2);
-    for _ in 0..PIPELINE_DEPTH + 2 {
-        recycle_tx
-            .send(Vec::with_capacity(chunk))
-            .expect("recycle channel holds every buffer");
-    }
-
-    let results = std::thread::scope(|scope| {
-        let producer =
-            scope.spawn(move || producer_loop(&mut source, chunk, data_tx, recycle_rx, depth, rec));
-        let mut feed = ChannelFeed::new(data_rx, recycle_tx, depth, rec);
-        let results = drive_placed(
-            config, chunk, workers, rec, schemes, caches, &mut feed, observe,
-        );
-        // Closes both channel directions so the producer always exits,
-        // even when stepping failed mid-stream.
-        feed.finish();
-        producer.join().expect("pipeline decode thread panicked");
-        results
-    })?;
+    let results = match source.borrowed() {
+        Some(source) => place(&mut BorrowedFeed { source, chunk, rec })?,
+        None => place(&mut InlineFeed {
+            source,
+            chunk,
+            spare: Vec::with_capacity(chunk),
+            rec,
+        })?,
+    };
     record_scheme_totals(rec, &results);
     Ok(results)
 }
 
 /// Record per-scheme result totals into `recorder`: `scheme_refs`,
 /// `scheme_transactions`, and a `scheme_ops` counter per non-zero bus
-/// operation. Shared by every execution mode so the exported totals do not
+/// operation. Shared by every placement so the exported totals do not
 /// depend on how the run was parallelised.
 pub(crate) fn record_scheme_totals(recorder: &dyn Recorder, results: &[SimResult]) {
     if !recorder.enabled() {
@@ -911,25 +730,9 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_matches_inline_for_every_worker_count() {
-        let refs = trace();
-        let schemes = Scheme::paper_lineup();
-        for workers in [1, 3] {
-            let engine = BroadcastSimulator::paper().workers(workers).chunk_size(512);
-            let inline = engine
-                .run(&schemes, 4, IterSource::new(refs.iter().copied()))
-                .unwrap();
-            let overlapped = engine
-                .run_pipelined(&schemes, 4, IterSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(inline, overlapped, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn borrowed_decode_path_matches_owned_for_every_worker_count() {
         // An mmap-backed source takes the zero-copy BorrowedFeed path
-        // through run_inline; results must be bit-identical to the
+        // through `run`; results must be bit-identical to the
         // owned-buffer IterSource path.
         let refs = trace();
         let path = std::env::temp_dir().join(format!(
@@ -942,7 +745,7 @@ mod tests {
         drop(file);
 
         let schemes = Scheme::paper_lineup();
-        for workers in [1, 3] {
+        for workers in [1, 3, 8] {
             let engine = BroadcastSimulator::paper().workers(workers).chunk_size(512);
             let owned = engine
                 .run(&schemes, 4, IterSource::new(refs.iter().copied()))
@@ -961,64 +764,64 @@ mod tests {
 
     #[test]
     fn overlapped_observer_sees_every_reference_in_order() {
+        // With two or more workers the calling thread keeps decoding and
+        // routing while the shards step; the observer runs on the decode
+        // side and must still see the trace in its original order, on
+        // both the owned and the borrowed feed.
         let refs = trace();
-        let mut seen = Vec::new();
-        BroadcastSimulator::paper()
-            .workers(2)
-            .chunk_size(256)
-            .run_observed_pipelined(
+        let path = std::env::temp_dir().join(format!(
+            "dirsim-pipeline-observed-{}.dtr",
+            std::process::id()
+        ));
+        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        dirsim_trace::io::write_binary(&mut file, refs.iter().copied()).unwrap();
+        std::io::Write::flush(&mut file).unwrap();
+        drop(file);
+
+        let engine = BroadcastSimulator::paper().workers(2).chunk_size(256);
+        let mut owned = Vec::new();
+        engine
+            .run_observed(
                 &[Scheme::Wti],
                 4,
                 IterSource::new(refs.iter().copied()),
-                |r| seen.push(*r),
+                |r| owned.push(*r),
             )
             .unwrap();
-        assert_eq!(seen, refs);
+        assert_eq!(owned, refs);
+        let mut borrowed = Vec::new();
+        engine
+            .run_observed(
+                &[Scheme::Wti],
+                4,
+                dirsim_trace::MmapTraceSource::open(&path).unwrap(),
+                |r| borrowed.push(*r),
+            )
+            .unwrap();
+        assert_eq!(borrowed, refs);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn overlapped_surfaces_decode_errors() {
-        let encoded = b"NOPE0000".to_vec();
-        let err = BroadcastSimulator::paper()
-            .run_pipelined(
-                &[Scheme::Wti],
-                2,
-                dirsim_trace::io::read_binary(std::io::Cursor::new(encoded)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::TraceIo(_)));
-    }
-
-    #[test]
-    fn overlapped_records_pipeline_metrics() {
-        use dirsim_obs::MetricsRegistry;
-        use std::sync::Arc;
-
+        // A decode error after several chunks have already been routed to
+        // the shard workers must still come back as a typed trace error,
+        // not a hang or a panic on the worker side.
         let refs = trace();
-        let registry = Arc::new(MetricsRegistry::new());
-        BroadcastSimulator::paper()
-            .workers(2)
-            .chunk_size(512)
-            .recorder(registry.clone())
-            .run_pipelined(&[Scheme::Wti], 4, IterSource::new(refs.iter().copied()))
-            .unwrap();
-        let stall = registry
-            .histogram_summary("decode_stall_seconds", &[])
-            .expect("decode stall histogram");
-        assert!(stall.count > 0 && stall.sum >= 0.0);
-        assert!(registry
-            .histogram_summary("step_stall_seconds", &[])
-            .is_some());
-        let depth = registry
-            .histogram_summary("pipeline_queue_depth", &[("stage", "decode")])
-            .expect("decode queue depth");
-        assert!(depth.count > 0);
-        assert!(registry
-            .histogram_summary("pipeline_queue_depth", &[("shard", "0"), ("stage", "step")])
-            .is_some());
-        let occupancy = registry
-            .gauge_value("pipeline_occupancy", &[])
-            .expect("occupancy gauge");
-        assert!((0.0..=1.0).contains(&occupancy), "occupancy = {occupancy}");
+        let mut encoded = Vec::new();
+        dirsim_trace::io::write_binary(&mut encoded, refs.iter().copied()).unwrap();
+        encoded.truncate(encoded.len() - 3);
+        for workers in [1, 2, 4] {
+            let err = BroadcastSimulator::paper()
+                .workers(workers)
+                .chunk_size(256)
+                .run(
+                    &[Scheme::Wti],
+                    4,
+                    dirsim_trace::io::read_binary(std::io::Cursor::new(encoded.clone())),
+                )
+                .unwrap_err();
+            assert!(matches!(err, Error::TraceIo(_)), "workers = {workers}");
+        }
     }
 }

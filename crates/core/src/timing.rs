@@ -277,11 +277,7 @@ impl TimingSimulator {
         assert!(cpus > 0, "need at least one processor");
         let mut per_cpu = vec![Vec::new(); cpus];
         let mut buf = Vec::new();
-        loop {
-            buf = source.read_chunk_owned(buf, crate::broadcast::DEFAULT_CHUNK)?;
-            if buf.is_empty() {
-                break;
-            }
+        while source.read_chunk(&mut buf, crate::broadcast::DEFAULT_CHUNK)? > 0 {
             for r in &buf {
                 per_cpu[r.cpu.index() % cpus].push(*r);
             }

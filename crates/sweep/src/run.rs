@@ -6,9 +6,9 @@
 //! lane. The executor therefore schedules **banks**, not cells. After the
 //! skip-if-stored filter, pending cells are grouped by everything in
 //! their identity except the scheme — input, geometry, CPU override and
-//! reference budget — and each bank runs once, inline on its worker, in
-//! [`ExecutionMode::SinglePass`]: one trace generation (or one file
-//! stream) feeds all of the bank's schemes. Every number stays
+//! reference budget — and each bank runs once, in-thread on its worker
+//! (one engine worker): one trace generation (or one file stream) feeds
+//! all of the bank's schemes. Every number stays
 //! bit-identical to a one-scheme run of the same cell (the equivalence
 //! the engine's tier-1 tests pin), so each cell still gets its own
 //! [`CellRecord`], built exactly as a one-scheme run would build it.
@@ -32,7 +32,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, NamedWorkload, SimConfig, SimResult};
+use dirsim::{BroadcastSimulator, Experiment, NamedWorkload, SimConfig, SimResult};
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
 use dirsim_trace::{open_trace, TakeSource, TraceStats};
@@ -245,7 +245,6 @@ fn run_bank(bank: &[Cell]) -> Result<Vec<CellRecord>, SweepError> {
                 .schemes(schemes)
                 .refs_per_trace(head.refs)
                 .sim_config(sim)
-                .execution(ExecutionMode::SinglePass)
                 .run()?;
             let results = results.per_scheme.into_iter().map(|s| s.combined).collect();
             (results, u32::from(config.cpus))

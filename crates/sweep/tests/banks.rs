@@ -12,7 +12,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, NamedWorkload, SimConfig};
+use dirsim::{BroadcastSimulator, Experiment, NamedWorkload, SimConfig};
 use dirsim_obs::{MetricValue, MetricsRegistry, Recorder};
 use dirsim_sweep::{run_sweep, Cell, CellInput, CellRecord, Store, SweepOptions, SweepSpec};
 use dirsim_trace::source::collect_all;
@@ -52,8 +52,7 @@ fn one_scheme_record(cell: &Cell) -> CellRecord {
                 .scheme(cell.scheme)
                 .refs_per_trace(cell.refs)
                 .sim_config(sim)
-                .execution(ExecutionMode::Serial)
-                .run()
+                .run_serial()
                 .unwrap();
             CellRecord::new(
                 cell,

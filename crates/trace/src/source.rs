@@ -54,38 +54,13 @@ pub trait TraceSource {
     /// return `Ok(0)`).
     fn read_chunk(&mut self, buf: &mut Vec<MemRef>, max: usize) -> Result<usize, TraceIoError>;
 
-    /// Owned-buffer variant of [`read_chunk`](Self::read_chunk): takes the
-    /// chunk buffer by value and hands it back filled.
-    ///
-    /// This is the recycling handshake the pipelined engine uses when the
-    /// decode stage lives on its own thread: emptied buffers travel back
-    /// to the producer over a channel, get refilled here, and are sent
-    /// forward again — the references themselves are written exactly once
-    /// per chunk and never copied between stages. An empty returned
-    /// buffer (`buf.is_empty()`) means the stream is exhausted, mirroring
-    /// the `Ok(0)` contract of `read_chunk`.
-    ///
-    /// # Errors
-    ///
-    /// See [`read_chunk`](Self::read_chunk); on error the buffer is
-    /// consumed (the caller is expected to abandon the stream).
-    fn read_chunk_owned(
-        &mut self,
-        mut buf: Vec<MemRef>,
-        max: usize,
-    ) -> Result<Vec<MemRef>, TraceIoError> {
-        self.read_chunk(&mut buf, max)?;
-        Ok(buf)
-    }
-
     /// The zero-copy view of this source, if it has one.
     ///
     /// Sources whose chunks live in storage they own (the memory-mapped
     /// reader's reusable decode buffer) return `Some`; the engine's
-    /// decode stage then borrows each chunk in place instead of running
-    /// the owned-buffer recycle handshake. `None` (the default) means
-    /// callers use [`read_chunk`](Self::read_chunk) /
-    /// [`read_chunk_owned`](Self::read_chunk_owned), which every source
+    /// decode stage then borrows each chunk in place instead of copying
+    /// it into a buffer of its own. `None` (the default) means callers
+    /// use [`read_chunk`](Self::read_chunk), which every source
     /// supports.
     fn borrowed(&mut self) -> Option<&mut dyn BorrowedChunkSource> {
         None
@@ -321,15 +296,11 @@ mod tests {
         let mut buf = Vec::with_capacity(64);
         let ptr = buf.as_ptr();
         let mut seen = Vec::new();
-        loop {
-            buf = source.read_chunk_owned(buf, 64).unwrap();
-            if buf.is_empty() {
-                break;
-            }
+        while source.read_chunk(&mut buf, 64).unwrap() > 0 {
             seen.extend_from_slice(&buf);
         }
         assert_eq!(seen, refs);
-        // The chunk never outgrew the buffer, so the handshake reused the
+        // The chunk never outgrew the buffer, so every call reused the
         // caller's allocation for the entire stream.
         assert_eq!(buf.as_ptr(), ptr, "the same allocation is recycled");
     }
@@ -339,7 +310,7 @@ mod tests {
         let encoded = b"NOPE0000".to_vec();
         let mut source = read_binary(&encoded[..]);
         assert!(matches!(
-            source.read_chunk_owned(Vec::new(), 16),
+            source.read_chunk(&mut Vec::new(), 16),
             Err(TraceIoError::BadMagic { .. })
         ));
     }

@@ -5,8 +5,8 @@
 //! gauntlet:
 //!
 //! 1. **Zero perturbation** — attaching a recorder (or leaving the default
-//!    no-op one) yields bit-identical [`ExperimentResults`] on every
-//!    execution path.
+//!    no-op one) yields bit-identical [`ExperimentResults`] at every
+//!    worker count and on the serial oracle.
 //! 2. **Faithful totals** — the exported counters agree exactly with the
 //!    simulation's own results (`engine_refs`, per-scheme refs /
 //!    transactions / bus-op counts).
@@ -20,7 +20,7 @@ use dirsim::obs::{
     parse_metrics, write_jsonl, MetricsRegistry, ProgressMeter, Recorder, RunManifest,
 };
 use dirsim::prelude::*;
-use dirsim::{ExecutionMode, Experiment, ExperimentResults};
+use dirsim::{Experiment, ExperimentResults};
 use dirsim_protocol::DirSpec;
 
 const REFS: usize = 6_000;
@@ -69,18 +69,17 @@ fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
 #[test]
 fn recorder_never_perturbs_results() {
     // Baseline: the default no-op recorder.
-    let baseline = experiment().run_with(ExecutionMode::SinglePass).unwrap();
-    for (what, mode) in [
-        ("single-pass", ExecutionMode::SinglePass),
-        ("serial", ExecutionMode::Serial),
-        ("sharded", ExecutionMode::Sharded { workers: 3 }),
-        ("pipelined", ExecutionMode::Pipelined { workers: 3 }),
-    ] {
+    let baseline = experiment().run().unwrap();
+    for what in ["serial", "workers = 1", "workers = 3", "workers = 8"] {
         let registry = Arc::new(MetricsRegistry::new());
-        let instrumented = experiment()
-            .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-            .run_with(mode)
-            .unwrap();
+        let exp = experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>);
+        let instrumented = match what {
+            "serial" => exp.run_serial(),
+            "workers = 1" => exp.run(),
+            "workers = 3" => exp.workers(3).run(),
+            _ => exp.workers(8).run(),
+        }
+        .unwrap();
         assert_identical(&baseline, &instrumented, what);
         assert!(
             !registry.is_empty(),
@@ -94,7 +93,7 @@ fn recorded_counters_match_simulation_results() {
     let registry = Arc::new(MetricsRegistry::new());
     let results = experiment()
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::SinglePass)
+        .run()
         .unwrap();
 
     // The engine decodes each workload's stream exactly once, which every
@@ -133,7 +132,7 @@ fn recorded_counters_match_simulation_results() {
         assert_eq!(recorded_ops, s.combined.ops.total(), "{name}: scheme_ops");
     }
 
-    // Phase spans fire at least once per chunk on the single-pass path.
+    // Phase spans fire at least once per chunk on the in-thread placement.
     for phase in ["decode", "step"] {
         let h = registry
             .histogram_summary("phase_seconds", &[("phase", phase)])
@@ -148,7 +147,8 @@ fn sharded_run_records_per_shard_series() {
     let registry = Arc::new(MetricsRegistry::new());
     let results = experiment()
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Sharded { workers: 3 })
+        .workers(3)
+        .run()
         .unwrap();
 
     // Shards partition the reference stream: per-shard refs sum to the
@@ -180,15 +180,13 @@ fn finite_sharded_run_records_per_shard_series() {
         .build()
         .unwrap();
     let workers = 3;
-    let baseline = experiment()
-        .sim_config(config)
-        .run_with(ExecutionMode::SinglePass)
-        .unwrap();
+    let baseline = experiment().sim_config(config).run().unwrap();
     let registry = Arc::new(MetricsRegistry::new());
     let results = experiment()
         .sim_config(config)
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Sharded { workers })
+        .workers(workers)
+        .run()
         .unwrap();
     assert_identical(&baseline, &results, "finite sharded instrumented");
 
@@ -221,18 +219,20 @@ fn finite_sharded_run_records_per_shard_series() {
 
 #[test]
 fn pipelined_run_records_overlap_metrics() {
-    // The overlapped-decode path must make the overlap observable:
-    // per-chunk stall histograms on both sides of the handshake, queue
-    // depths per stage, and a closing occupancy gauge in [0, 1] — on top
-    // of everything the inline paths record.
+    // The sharded placement pipelines decode (on the calling thread)
+    // against stepping (on the shard workers), and must make that overlap
+    // observable: stall histograms on both sides of the shard queues,
+    // per-shard queue depths, and a closing occupancy gauge in [0, 1] —
+    // on top of everything the in-thread placement records.
     let workers = 3;
-    let baseline = experiment().run_with(ExecutionMode::SinglePass).unwrap();
+    let baseline = experiment().run().unwrap();
     let registry = Arc::new(MetricsRegistry::new());
     let results = experiment()
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Pipelined { workers })
+        .workers(workers)
+        .run()
         .unwrap();
-    assert_identical(&baseline, &results, "pipelined instrumented");
+    assert_identical(&baseline, &results, "sharded instrumented");
 
     let decode_stall = registry
         .histogram_summary("decode_stall_seconds", &[])
@@ -243,10 +243,6 @@ fn pipelined_run_records_overlap_metrics() {
         .expect("step_stall_seconds must be recorded");
     assert!(step_stall.count > 0 && step_stall.sum >= 0.0);
 
-    let decode_depth = registry
-        .histogram_summary("pipeline_queue_depth", &[("stage", "decode")])
-        .expect("decode-stage queue depth must be recorded");
-    assert!(decode_depth.count > 0 && decode_depth.min >= 0.0);
     let step_depths: u64 = (0..workers)
         .filter_map(|shard| {
             registry.histogram_summary(
@@ -271,8 +267,8 @@ fn pipelined_run_records_overlap_metrics() {
         "occupancy must be a fraction, got {occupancy}"
     );
 
-    // The inline metrics are unchanged by overlap: per-shard refs still
-    // partition the stream.
+    // The overlap metrics sit beside the shard series: per-shard refs
+    // still partition the stream.
     let shard_refs: u64 = (0..workers)
         .map(|shard| {
             registry
@@ -288,7 +284,7 @@ fn exported_jsonl_round_trips_exactly() {
     let registry = Arc::new(MetricsRegistry::new());
     experiment()
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::SinglePass)
+        .run()
         .unwrap();
 
     let manifest = RunManifest::new("observability-test")
@@ -318,7 +314,7 @@ fn progress_meter_sees_monotone_cumulative_refs() {
     );
     let results = experiment()
         .progress(Arc::new(Mutex::new(meter)))
-        .run_with(ExecutionMode::SinglePass)
+        .run()
         .unwrap();
 
     let seen = seen.lock().unwrap();
